@@ -26,7 +26,7 @@ import numpy as np
 from .errors import TooLargeError, UnsupportedModelError
 from .generators import ModelSpec
 from .isomorphism import NAIVE_ORBIT_LIMIT, aut_log, canonical_code, orbit_counts
-from .trees import ShapeTree, split_sizes, subtree_sizes
+from .trees import ShapeTree, rooted_lists, split_sizes
 
 __all__ = [
     "ScoreVector",
@@ -167,25 +167,21 @@ def psi_scores(shape: ShapeTree) -> ScoreVector:
 
 
 def phi_scores(shape: ShapeTree) -> ScoreVector:
-    """log phi(u) for all u in O(n) by rerooting along BFS edges.
+    """log phi(u) for all u in O(n) by rerooting level by level.
 
     phi(root) is summed directly from subtree sizes; stepping the root to
     a child of subtree size s multiplies phi by (n - s)/s.
     """
     n = shape.n
-    view = subtree_sizes(shape, 1)
-    down = view.down_size
+    walk = shape.walk_from_1
+    down = walk.down_size
     logs = np.zeros(n + 1)
     np.log(down[1:], out=logs[1:])
-    values = np.full(n + 1, np.inf)
-    values[1] = float(np.sum(logs[2:]))
     up = n - down[1:].astype(np.float64)
     up[0] = 1.0  # vertex 1 is the traversal root; its entry is never read
-    step = (np.log(up) - logs[1:]).tolist()  # indexed by vertex-1
-    order = view.order.tolist()
-    parent = view.parent.tolist()
-    for v in order[1:]:
-        values[v] = values[parent[v]] + step[v - 1]
+    step = np.zeros(n + 1)
+    step[1:] = np.log(up) - logs[1:]
+    values = walk.descend(float(np.sum(logs[2:])), step)
     return ScoreVector(estimator="phi", shape=shape, values=values)
 
 
@@ -201,7 +197,7 @@ def _exact_score(shape: ShapeTree, degree_correction: bool) -> np.ndarray:
     log_orbit = np.log(orbit[1:].astype(np.float64))
     log_deg = np.log(shape.degrees()[1:].astype(np.float64)) if degree_correction else None
     for u in range(1, n + 1):
-        down = subtree_sizes(shape, u).down_size
+        down = np.array(rooted_lists(shape, u, sizes=True)[2])
         total = float(np.sum(np.log(down[1:]))) + float(np.sum(aut_log(shape, u)[1:]))
         values[u] = total + log_orbit[u - 1]
         if degree_correction:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -153,9 +154,14 @@ def _leaf_range(args) -> tuple[int, list[bool]]:
 
 
 def _run_parallel(worker, tasks, trials: int, jobs: int) -> np.ndarray:
-    """Scatter (start, stop) chunks over processes; stitch by start index."""
+    """Scatter (start, stop) chunks over processes; stitch by start index.
+
+    The pool starts all its workers up front, so their number is capped by
+    the cores and the chunks, whatever ``jobs`` asks for.
+    """
     outcomes = np.zeros(trials, dtype=bool)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for start, flags in pool.map(worker, tasks):
             outcomes[start : start + len(flags)] = flags
     return outcomes

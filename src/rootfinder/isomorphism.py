@@ -21,7 +21,7 @@ from hashlib import blake2b
 import numpy as np
 
 from .errors import TooLargeError
-from .trees import ShapeTree, subtree_sizes
+from .trees import ShapeTree, rooted_lists
 
 __all__ = [
     "canonical_code",
@@ -55,9 +55,7 @@ def canonical_code(shape: ShapeTree, root: int) -> bytes:
     Codes of finished subtrees are released as soon as the parent consumes
     them, so peak memory follows the widest antichain, not the tree size.
     """
-    view = subtree_sizes(shape, root)
-    order = view.order.tolist()
-    parent = view.parent.tolist()
+    order, parent = rooted_lists(shape, root)
     pending: list = [[] for _ in range(shape.n + 1)]
     for v in reversed(order):
         parts = pending[v]
@@ -76,9 +74,7 @@ def aut_log(shape: ShapeTree, root: int) -> np.ndarray:
     Child subtrees are grouped by interned integer type ids (one shared
     table per call), so no byte codes are materialized; leaves get 0.
     """
-    view = subtree_sizes(shape, root)
-    order = view.order.tolist()
-    parent = view.parent.tolist()
+    order, parent = rooted_lists(shape, root)
     n = shape.n
     lf = log_factorials(n).tolist()
     out = np.zeros(n + 1)

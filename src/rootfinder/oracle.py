@@ -34,7 +34,7 @@ from .errors import (
 from .generators import ModelSpec
 from .isomorphism import canonical_code, orbit_counts
 from .rng import as_generator
-from .trees import GrowthTree, ShapeTree, shape_of_growth, subtree_sizes
+from .trees import GrowthTree, ShapeTree, rooted_lists, shape_of_growth
 
 __all__ = [
     "PlaneGrowthTree",
@@ -173,9 +173,7 @@ def _exact_aut(shape: ShapeTree, root: int) -> list[int]:
     """Exact integer Aut(v, (T, root)) per vertex: product of multiplicity
     factorials over isomorphic child subtrees.  Independent of the float
     log-domain pass used by the estimators."""
-    view = subtree_sizes(shape, root)
-    order = view.order.tolist()
-    parent = view.parent.tolist()
+    order, parent = rooted_lists(shape, root)
     n = shape.n
     out = [1] * (n + 1)
     intern: dict[tuple, int] = {}
@@ -208,9 +206,8 @@ def _exact_aut(shape: ShapeTree, root: int) -> list[int]:
 
 def _shape_denominator(shape: ShapeTree, root: int) -> int:
     """Product over non-leaves of subtree size times Aut factor (exact)."""
-    view = subtree_sizes(shape, root)
+    down = rooted_lists(shape, root, sizes=True)[2]
     aut = _exact_aut(shape, root)
-    down = view.down_size.tolist()
     denom = 1
     for v in range(1, shape.n + 1):
         denom *= down[v] * aut[v]  # leaves contribute 1 * 1

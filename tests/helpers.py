@@ -7,6 +7,8 @@ the same quantities the library computes cleverly.
 
 from itertools import permutations
 
+import numpy as np
+
 from rootfinder import canonical_code, shape_of_growth
 from rootfinder.oracle import enumerate_recursive
 
@@ -57,3 +59,40 @@ def distinct_shapes(n, limit=None):
             if limit and len(out) >= limit:
                 break
     return out
+
+
+def list_walk(shape, root):
+    """Queue-based BFS over Python lists: (order, parent, down_size) as lists,
+    parent[root] = 0 and down_size[0] = 0."""
+    xa, ad = shape.xadj.tolist(), shape.adjncy.tolist()
+    parent = [0] * (shape.n + 1)
+    seen = {root}
+    order = [root]
+    for u in order:
+        for v in ad[xa[u] : xa[u + 1]]:
+            if v not in seen:
+                seen.add(v)
+                parent[v] = u
+                order.append(v)
+    down = [1] * (shape.n + 1)
+    down[0] = 0
+    for v in reversed(order[1:]):
+        down[parent[v]] += down[v]
+    return order, parent, down
+
+
+def phi_by_list_rerooting(shape):
+    """log phi for every vertex, rerooted one vertex at a time along the
+    list walk from vertex 1 (slot 0 is +inf)."""
+    n = shape.n
+    order, parent, down = list_walk(shape, 1)
+    logs = np.zeros(n + 1)
+    np.log(np.array(down[1:]), out=logs[1:])
+    up = n - np.array(down[1:], dtype=np.float64)
+    up[0] = 1.0
+    step = (np.log(up) - logs[1:]).tolist()
+    values = np.full(n + 1, np.inf)
+    values[1] = float(np.sum(logs[2:]))
+    for v in order[1:]:
+        values[v] = values[parent[v]] + step[v - 1]
+    return values

@@ -26,6 +26,7 @@ from rootfinder import (
     sweep,
     wilson_interval,
 )
+from rootfinder import experiments
 from rootfinder.experiments import CSV_COLUMNS, DEFAULT_MAX_EXACT_N
 from rootfinder.rng import DEFAULT_SEED
 
@@ -116,6 +117,41 @@ def test_jobs_do_not_change_outcomes():
     parallel = run_trials(config, jobs=2)
     assert serial == parallel
     assert np.array_equal(serial.outcomes, parallel.outcomes)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: runs the tasks in this process and
+    records the worker count it was asked for, so no process is started."""
+
+    def __init__(self, max_workers, requests):
+        requests.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "jobs, trials, cores, workers",
+    [(64, 3, 8, 3), (64, 100, 2, 2), (3, 100, None, 1), (2, 48, 4, 2)],
+)
+def test_worker_count_is_capped_by_cores_and_chunks(monkeypatch, jobs, trials, cores, workers):
+    requests = []
+    monkeypatch.setattr(
+        experiments, "ProcessPoolExecutor", lambda max_workers: _SerialPool(max_workers, requests)
+    )
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+    config = small_config(trials=trials)
+    capped = run_trials(config, jobs=jobs)
+    leaf = root_leaf_frequency(UA, 20, trials=trials, seed=3, jobs=jobs)
+    assert requests == [workers, workers]
+    assert np.array_equal(capped.outcomes, run_trials(config, jobs=1).outcomes)
+    assert np.array_equal(leaf.outcomes, root_leaf_frequency(UA, 20, trials, seed=3).outcomes)
 
 
 def test_success_monotone_in_k_per_trial():

@@ -60,6 +60,13 @@ def test_code_length_is_twice_n():
             assert len(canonical_code(shape, u)) == 2 * shape.n
 
 
+@pytest.mark.parametrize("fn", [canonical_code, aut_log])
+def test_rooted_passes_reject_out_of_range_root(fn):
+    for root in (0, PATH3.n + 1):
+        with pytest.raises(ValueError):
+            fn(PATH3, root)
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_code_classes_match_permutation_oracle(n):
     rooted = []

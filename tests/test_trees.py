@@ -7,6 +7,10 @@ Hand-checked fixtures used throughout:
   mixed5  1-2, 2-3, 2-4, 4-5 (one internal vertex of degree 3)
 """
 
+import os
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,8 +23,11 @@ from rootfinder import (
     SelfLoopError,
     build_shape,
     forget_labels,
+    parse_model,
+    phi_scores,
     read_edge_list,
     read_growth,
+    sample_preferential_attachment,
     sample_uniform_attachment,
     shape_of_growth,
     split_sizes,
@@ -28,6 +35,8 @@ from rootfinder import (
     write_edge_list,
     write_growth,
 )
+
+from helpers import list_walk, phi_by_list_rerooting
 
 PATH5 = [(1, 2), (2, 3), (3, 4), (4, 5)]
 STAR4 = [(1, 2), (1, 3), (1, 4)]
@@ -101,6 +110,11 @@ def test_build_shape_duplicate_edge_either_orientation():
         build_shape([(1, 2), (2, 3), (2, 1)])
     with pytest.raises(DuplicateEdgeError):
         build_shape([(1, 2), (2, 3), (1, 2)])
+    # identifiers too large for the packed duplicate key
+    with pytest.raises(DuplicateEdgeError):
+        build_shape([(1, 2**40), (2**40, 1)])
+    with pytest.raises(CycleOrDisconnectedError):
+        build_shape([(1, 2**40), (2**40, 3)])
 
 
 def test_build_shape_cycle():
@@ -118,6 +132,25 @@ def test_build_shape_disconnected_with_tree_edge_count():
 def test_build_shape_forest():
     with pytest.raises(CycleOrDisconnectedError):
         build_shape([(1, 2), (3, 4)])
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_build_shape_cycle_through_vertex_1_with_tree_edge_count(as_array):
+    # n - 1 edges; a walk that skipped only each vertex's parent would go
+    # round the cycle through vertex 1 forever
+    edges = [(1, 2), (2, 3), (3, 1), (4, 5)]
+    with pytest.raises(CycleOrDisconnectedError):
+        build_shape(np.array(edges) if as_array else edges)
+    # the same past a path of 100 narrow levels
+    edges = [(i, i + 1) for i in range(1, 100)] + [(100, 101), (101, 102), (102, 100), (103, 104)]
+    with pytest.raises(CycleOrDisconnectedError):
+        build_shape(np.array(edges) if as_array else edges)
+    # K4 on {1, 2, 3, 7} and isolated 4..6: the walk's levels double in width
+    edges = [(1, 2), (1, 3), (1, 7), (2, 3), (2, 7), (3, 7)]
+    with pytest.raises(CycleOrDisconnectedError):
+        build_shape(np.array(edges) if as_array else edges)
+    with pytest.raises(DuplicateEdgeError):
+        build_shape(np.array([(1, 2), (2, 3), (2, 1)]) if as_array else [(1, 2), (2, 3), (2, 1)])
 
 
 def test_build_shape_rejects_nonpositive_and_empty():
@@ -178,6 +211,63 @@ def test_children_sum_is_n_minus_one():
     # down sizes of each vertex = 1 + sum over children
     for v in range(1, shape.n + 1):
         assert view.down_size[v] == 1 + sum(view.down_size[c] for c in view.children[v])
+
+
+def _deep_shape(n, seed):
+    """Vertex i joins i - 1 with probability 0.9, else a uniform earlier
+    vertex: hundreds of levels, mostly narrow, some wide."""
+    gen = np.random.default_rng(seed)
+    parents = np.arange(1, n)
+    jump = gen.random(n - 1) < 0.1
+    parents[jump] = gen.integers(1, np.arange(2, n + 1))[jump]
+    return forget_labels(GrowthTree.from_attachments(parents), rng=gen)[0]
+
+
+def _broom(handle, bristles, tail):
+    """A path, a wide level of leaves at its end, then a path off one leaf."""
+    edges = [(i, i + 1) for i in range(1, handle)]
+    edges += [(handle, handle + j) for j in range(1, bristles + 1)]
+    last = handle + bristles
+    edges += [(last + j - 1 if j > 1 else handle + 1, last + j) for j in range(1, tail + 1)]
+    return build_shape(edges)
+
+
+WALK_SHAPES = {
+    "ua": lambda: random_shape(3000, 7),
+    "pa": lambda: forget_labels(
+        sample_preferential_attachment(3000, RngStream(5, 1).generator()), rng=RngStream(5, 2).generator()
+    )[0],
+    "alpha1.5": lambda: forget_labels(
+        parse_model("alpha:1.5").sample(2000, RngStream(5, 3).generator()), rng=RngStream(5, 4).generator()
+    )[0],
+    "deep": lambda: _deep_shape(4000, 11),
+    "broom": lambda: _broom(150, 200, 300),
+    "star": lambda: build_shape([(1, k) for k in range(2, 501)]),
+    "path": lambda: shape_of_growth(GrowthTree.from_attachments(list(range(1, 3000)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_SHAPES))
+def test_level_walk_matches_list_walk(name):
+    shape = WALK_SHAPES[name]()
+    n = shape.n
+    for root in sorted({1, 2, n // 3, n // 2 + 1, n}):
+        view = subtree_sizes(shape, root)
+        order, parent, down = list_walk(shape, root)
+        assert view.order.tolist() == order
+        assert view.parent.tolist() == parent
+        assert view.down_size.tolist() == down
+
+
+@pytest.mark.parametrize("name", ["ua", "pa", "deep", "broom", "path"])
+def test_phi_is_bit_identical_to_list_rerooting(name):
+    shape = WALK_SHAPES[name]()
+    assert np.array_equal(phi_scores(shape).values, phi_by_list_rerooting(shape))
+
+
+def test_phi_is_bit_identical_to_list_rerooting_at_ten_thousand():
+    for shape in (random_shape(10_000, 8), _deep_shape(10_000, 12)):
+        assert np.array_equal(phi_scores(shape).values, phi_by_list_rerooting(shape))
 
 
 def test_deep_path_survives_without_recursion():
@@ -302,6 +392,49 @@ def test_edge_list_malformed_line(tmp_path):
     p.write_text("1 2 3\n")
     with pytest.raises(ValueError):
         read_edge_list(p)
+
+
+@pytest.mark.parametrize(
+    "text", ["1 2 # note\n2 3\n", "1 2.0\n2 3\n", "1 x\n2 3\n", "1 2\n3\n", "1\n", "2 3\n1 2 #"]
+)
+def test_edge_list_rejects_lines_that_are_not_two_integers(tmp_path, text):
+    p = tmp_path / "t.edges"
+    p.write_text(text)
+    with pytest.raises(ValueError):
+        read_edge_list(p)
+
+
+@pytest.mark.parametrize("text", ["", "# a comment\n\n   # another # one\n"])
+def test_edge_list_without_edges_is_not_a_tree(tmp_path, text):
+    p = tmp_path / "t.edges"
+    p.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CycleOrDisconnectedError):
+            read_edge_list(p)
+
+
+@pytest.mark.parametrize("text", ["1 2\n", "2 1", "## a # b\n\t2  1 \n#"])
+def test_edge_list_single_edge(tmp_path, text):
+    p = tmp_path / "t.edges"
+    p.write_text(text)
+    assert read_edge_list(p).edges() == [(1, 2)]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_edge_list_reads_its_file_once(tmp_path):
+    # a pipe, such as bash's <(...), can be read only once
+    fifo = tmp_path / "t.edges"
+    os.mkfifo(fifo)
+    result = []
+    reader = threading.Thread(target=lambda: result.append(read_edge_list(fifo)), daemon=True)
+    reader.start()
+    fifo.write_text("1 2\n2 3\n")
+    reader.join(timeout=30)
+    if reader.is_alive():  # blocked opening the pipe again: release it
+        fifo.write_text("")
+        reader.join(timeout=30)
+    assert not reader.is_alive() and len(result) == 1 and result[0].edges() == [(1, 2), (2, 3)]
 
 
 def test_growth_round_trip(tmp_path):
