@@ -37,6 +37,8 @@ __all__ = [
     "xi_scores",
     "score_tree",
     "select_smallest",
+    "tie_runs",
+    "rank_interval",
     "root_posterior",
     "ESTIMATOR_TAGS",
 ]
@@ -243,43 +245,66 @@ def _tie_key(shape: ShapeTree, u: int):
     return code
 
 
+def tie_runs(scores: ScoreVector) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices in ascending score order and the boundaries of their tied runs.
+
+    ``order`` lists vertex labels by ascending score; run r is
+    ``order[bounds[r]:bounds[r + 1]]``, so ``bounds`` rises from 0 to n.
+    Two neighbours in that order tie when their scores differ by at most
+    ``TIE_RTOL`` times the larger magnitude (at least 1), and ties chain: a
+    run ends only where two neighbours do not tie.  This is the one
+    statement of the tie rule; selection and the rank interval both read it
+    from here.  Equal scores may come in any order (the sort need not be
+    stable), since callers treat each run as a set.
+    """
+    values = scores.values[1:]
+    order = np.argsort(values)
+    vals = values[order]
+    a, b = vals[1:], vals[:-1]
+    tied = np.abs(a - b) <= TIE_RTOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    n = values.shape[0]
+    bounds = np.concatenate(([0], np.flatnonzero(~tied) + 1, [n]))
+    return order + 1, bounds
+
+
+def rank_interval(scores: ScoreVector, v: int) -> tuple[int, int]:
+    """The ranks ``[start, end)`` of the tied run holding vertex ``v``.
+
+    Ranks count from 0 in the order of :func:`tie_runs`.  ``v`` is in
+    ``select_smallest(scores, k)`` when ``end <= min(k, n)`` and not when
+    ``start >= min(k, n)``; otherwise its run straddles rank k and the
+    canonical-code order decides.
+    """
+    order, bounds = tie_runs(scores)
+    rank = int(np.flatnonzero(order == v)[0])
+    r = int(np.searchsorted(bounds, rank, side="right")) - 1
+    return int(bounds[r]), int(bounds[r + 1])
+
+
 def select_smallest(scores: ScoreVector, k: int) -> ConfidenceSet:
     """The min(k, n) lowest-scoring vertices, deterministically ordered.
 
     Order is (score, canonical code of the tree rooted at the vertex,
-    vertex label): equal-score runs that reach the output are re-sorted by
-    rooted-isomorphism class, so label order only ever separates vertices
-    whose rooted views are isomorphic.  No run is code-sorted here: runs
-    that fit entirely, and the run that straddles the k-th rank (whose
-    members compete for the remaining slots), are handed over unsorted and
-    ordered lazily by the ``ConfidenceSet``.
+    vertex label): equal-score runs (:func:`tie_runs`) that reach the
+    output are re-sorted by rooted-isomorphism class, so label order only
+    ever separates vertices whose rooted views are isomorphic.  No run is
+    code-sorted here: runs that fit entirely, and the run that straddles
+    the k-th rank (whose members compete for the remaining slots), are
+    handed over unsorted and ordered lazily by the ``ConfidenceSet``.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     shape = scores.shape
-    n = shape.n
-    m = min(k, n)
-    ranked = (np.argsort(scores.values[1:], kind="stable") + 1).tolist()
-    vals = scores.values[ranked].tolist()  # aligned with ranked
-
-    def tied(a: float, b: float) -> bool:
-        return abs(a - b) <= TIE_RTOL * max(1.0, abs(a), abs(b))
-
-    groups: list[list[int]] = []
-    count = 0
-    i = 0
-    while count < m:
-        # peel off the maximal run of tied scores starting at rank i
-        j = i + 1
-        while j < n and tied(vals[j], vals[j - 1]):
-            j += 1
-        cluster = ranked[i:j]
-        need = m - count
-        if len(cluster) > need:
-            return ConfidenceSet(scores.estimator, k, shape, groups, cluster, need)
-        groups.append(cluster)
-        count += len(cluster)
-        i = j
+    m = min(k, shape.n)
+    order, bounds = tie_runs(scores)
+    # runs [0, full) fit wholly; run ``full`` straddles rank m if it starts below m
+    full = int(np.searchsorted(bounds, m, side="right")) - 1
+    edge = int(bounds[full])
+    ranked = order[: bounds[full + 1] if edge < m else edge].tolist()
+    cuts = bounds[: full + 1].tolist()
+    groups = [ranked[i:j] for i, j in zip(cuts, cuts[1:])]
+    if edge < m:
+        return ConfidenceSet(scores.estimator, k, shape, groups, ranked[edge:], m - edge)
     return ConfidenceSet(scores.estimator, k, shape, groups)
 
 

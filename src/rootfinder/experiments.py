@@ -7,6 +7,13 @@ bit-identical whether trials run serially or across worker processes, and
 two configs sharing a seed see the same trees — which makes success rates
 exactly monotone in K and lets different estimators be compared pairwise
 on identical inputs.
+
+``sweep`` exploits the shared trees: cells that differ only in K form a
+K-family whose trials are sampled and scored once.  Per trial the true
+root's rank interval, its run of tied scores in ascending order, settles
+every K at once; only a K that falls inside that run asks the confidence
+set, whose canonical-code order decides.  Adding a K to a sweep therefore
+costs almost nothing.
 """
 
 from __future__ import annotations
@@ -18,11 +25,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import BadSizeError, TooLargeError
-from .estimators import ESTIMATOR_TAGS, score_tree, select_smallest
+from .estimators import ESTIMATOR_TAGS, rank_interval, score_tree, select_smallest
 from .generators import ModelSpec, parse_model
 from .rng import DEFAULT_SEED, RngStream
 from .trees import forget_labels
@@ -129,18 +137,26 @@ def _result_from_outcomes(outcomes: np.ndarray, seconds: float) -> ExperimentRes
     )
 
 
-def _success_trial(config: ExperimentConfig, trial: int) -> bool:
+def _family_trial(config: ExperimentConfig, ks: tuple[int, ...], trial: int) -> tuple[bool, ...]:
+    """Trial ``trial`` of a K-family: one outcome per K in ``ks``.
+
+    The tree is sampled, relabelled and scored once; ``config.k`` is not
+    read.  Each outcome is read off the true root's rank interval, and only
+    a K that falls inside the root's tied run needs the confidence set.
+    """
     gen = RngStream(config.seed, trial).generator()
     tree = config.model.sample(config.n, gen)
     shape, true_root = forget_labels(tree, gen)
     scores = score_tree(shape, config.estimator)
-    picked = select_smallest(scores, config.k)
-    return true_root in picked
-
-
-def _success_range(args) -> tuple[int, list[bool]]:
-    config, start, stop = args
-    return start, [_success_trial(config, t) for t in range(start, stop)]
+    start, end = rank_interval(scores, true_root)
+    flags = []
+    for k in ks:
+        m = min(k, config.n)
+        if start < m < end:  # the root's run straddles rank K
+            flags.append(true_root in select_smallest(scores, k))
+        else:
+            flags.append(end <= m)
+    return tuple(flags)
 
 
 def _leaf_trial(model: ModelSpec, n: int, seed: int, trial: int) -> bool:
@@ -148,28 +164,51 @@ def _leaf_trial(model: ModelSpec, n: int, seed: int, trial: int) -> bool:
     return int(np.count_nonzero(tree.parent[2:] == 1)) == 1
 
 
-def _leaf_range(args) -> tuple[int, list[bool]]:
-    model, n, seed, start, stop = args
-    return start, [_leaf_trial(model, n, seed, t) for t in range(start, stop)]
-
-
-def _run_parallel(worker, tasks, trials: int, jobs: int) -> np.ndarray:
-    """Scatter (start, stop) chunks over processes; stitch by start index.
-
-    The pool starts all its workers up front, so their number is capped by
-    the cores and the chunks, whatever ``jobs`` asks for.
-    """
-    outcomes = np.zeros(trials, dtype=bool)
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for start, flags in pool.map(worker, tasks):
-            outcomes[start : start + len(flags)] = flags
-    return outcomes
+def _trial_range(args) -> list:
+    trial_fn, start, stop = args
+    return [trial_fn(t) for t in range(start, stop)]
 
 
 def _chunks(trials: int, jobs: int) -> list[tuple[int, int]]:
     size = max(1, math.ceil(trials / (jobs * 4)))
     return [(s, min(s + size, trials)) for s in range(0, trials, size)]
+
+
+def _map_trials(trial_fn, trials: int, jobs: int) -> np.ndarray:
+    """``trial_fn(t)`` for t in 0..trials-1 as a bool array, one row per trial.
+
+    With ``jobs > 1`` the trials are split into (start, stop) chunks and
+    mapped over processes; the pool starts all its workers up front, so
+    their number is capped by the cores and the chunks, whatever ``jobs``
+    asks for.
+    """
+    if jobs <= 1:
+        return np.array([trial_fn(t) for t in range(trials)], dtype=bool)
+    tasks = [(trial_fn, start, stop) for start, stop in _chunks(trials, jobs)]
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return np.array([f for chunk in pool.map(_trial_range, tasks) for f in chunk], dtype=bool)
+
+
+def _check_cap(config: ExperimentConfig, max_exact_n: int) -> None:
+    if config.estimator in ("zeta", "xi") and config.n > max_exact_n:
+        raise TooLargeError(
+            f"estimator {config.estimator!r} is quadratic; n={config.n} exceeds the "
+            f"default cap {max_exact_n} (raise max_exact_n / --max-exact-n to override)"
+        )
+
+
+def _run_family(cells: list[ExperimentConfig], jobs: int) -> list[ExperimentResult]:
+    """Run cells that differ only in k on shared trials, one scoring per trial.
+
+    Each cell's ``seconds`` is the family's wall time split evenly over its
+    cells.
+    """
+    ks = tuple(c.k for c in cells)
+    t0 = time.perf_counter()
+    outcomes = _map_trials(partial(_family_trial, cells[0], ks), cells[0].trials, jobs)
+    seconds = (time.perf_counter() - t0) / len(cells)
+    return [_result_from_outcomes(outcomes[:, i].copy(), seconds) for i in range(len(cells))]
 
 
 def run_trials(
@@ -178,22 +217,8 @@ def run_trials(
     max_exact_n: int = DEFAULT_MAX_EXACT_N,
 ) -> ExperimentResult:
     """Run one cell; identical results for every ``jobs`` value."""
-    if config.estimator in ("zeta", "xi") and config.n > max_exact_n:
-        raise TooLargeError(
-            f"estimator {config.estimator!r} is quadratic; n={config.n} exceeds the "
-            f"default cap {max_exact_n} (raise max_exact_n / --max-exact-n to override)"
-        )
-    t0 = time.perf_counter()
-    if jobs <= 1:
-        outcomes = np.fromiter(
-            (_success_trial(config, t) for t in range(config.trials)),
-            dtype=bool,
-            count=config.trials,
-        )
-    else:
-        tasks = [(config, start, stop) for start, stop in _chunks(config.trials, jobs)]
-        outcomes = _run_parallel(_success_range, tasks, config.trials, jobs)
-    return _result_from_outcomes(outcomes, time.perf_counter() - t0)
+    _check_cap(config, max_exact_n)
+    return _run_family([config], jobs)[0]
 
 
 def root_leaf_frequency(
@@ -209,15 +234,7 @@ def root_leaf_frequency(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     t0 = time.perf_counter()
-    if jobs <= 1:
-        outcomes = np.fromiter(
-            (_leaf_trial(model, n, seed, t) for t in range(trials)),
-            dtype=bool,
-            count=trials,
-        )
-    else:
-        tasks = [(model, n, seed, start, stop) for start, stop in _chunks(trials, jobs)]
-        outcomes = _run_parallel(_leaf_range, tasks, trials, jobs)
+    outcomes = _map_trials(partial(_leaf_trial, model, n, seed), trials, jobs)
     return _result_from_outcomes(outcomes, time.perf_counter() - t0)
 
 
@@ -226,10 +243,26 @@ def sweep(
     jobs: int = 1,
     max_exact_n: int = DEFAULT_MAX_EXACT_N,
 ) -> list[tuple[ExperimentConfig, ExperimentResult]]:
-    """Run a list of cells in order (parallelism lives inside each cell)."""
+    """Run a list of cells; rows come back in the order given.
+
+    Cells with equal (model, estimator, n, trials, seed) form a K-family,
+    whether or not they are adjacent in the list.  A family runs one trial
+    loop (parallelism lives inside it): each trial's tree is sampled and
+    scored once, and every K's outcome is read off the true root's rank
+    interval.  Families run in order of first appearance.
+    """
     if not configs:
         raise ValueError("empty sweep grid")
-    return [(c, run_trials(c, jobs=jobs, max_exact_n=max_exact_n)) for c in configs]
+    for c in configs:
+        _check_cap(c, max_exact_n)
+    families: dict[tuple, list[int]] = {}
+    for i, c in enumerate(configs):
+        families.setdefault((c.model, c.estimator, c.n, c.trials, c.seed), []).append(i)
+    results: list[ExperimentResult | None] = [None] * len(configs)
+    for members in families.values():
+        for i, res in zip(members, _run_family([configs[i] for i in members], jobs)):
+            results[i] = res
+    return list(zip(configs, results))
 
 
 def parse_sweep_grid(text: str) -> list[ExperimentConfig]:
@@ -276,7 +309,12 @@ def parse_sweep_grid(text: str) -> list[ExperimentConfig]:
 
 
 def results_csv(rows: list[tuple[ExperimentConfig, ExperimentResult]]) -> str:
-    """Render (config, result) pairs as the standard CSV table."""
+    """Render (config, result) pairs as the standard CSV table.
+
+    ``seconds`` is wall time; in a ``sweep``, cells of one K-family share
+    their trials, and each gets the family's wall time split evenly over
+    its cells.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

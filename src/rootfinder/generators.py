@@ -105,9 +105,12 @@ def sample_uniform_attachment(n: int, rng) -> GrowthTree:
 def sample_preferential_attachment(n: int, rng) -> GrowthTree:
     """Degree-proportional attachment tree on n vertices.
 
-    Keeps the classical endpoint list in which every vertex appears once
-    per unit of degree, so a uniform index is a degree-biased vertex.
-    Index draws are vectorized up front; the list grows in a plain loop.
+    Draws from the classical endpoint list in which every vertex appears
+    once per unit of degree, so a uniform index is a degree-biased vertex.
+    The list is never built: it starts [1, 2] and vertex i appends
+    [parent[i], i], so an odd index p holds vertex (p-1)/2 + 2 and an even
+    index 2m holds parent[m+2], an earlier vertex's parent.  Index draws
+    are vectorized up front and the even ones resolved by pointer jumping.
     """
     _check_n(n)
     gen = as_generator(rng)
@@ -116,14 +119,22 @@ def sample_preferential_attachment(n: int, rng) -> GrowthTree:
     if n == 2:
         return GrowthTree(parent)
     # before vertex i arrives the list holds 2(i-2) endpoints
-    picks = gen.integers(0, 2 * np.arange(1, n - 1, dtype=np.int64)).tolist()
-    endpoints = [1, 2]
-    par = parent  # local alias
-    for i in range(3, n + 1):
-        j = endpoints[picks[i - 3]]
-        par[i] = j
-        endpoints.append(j)
-        endpoints.append(i)
+    picks = gen.integers(0, 2 * np.arange(1, n - 1, dtype=np.int64))
+    half = (picks >> 1) + 2
+    odd = (picks & 1).astype(bool)
+    parent[3:][odd] = half[odd]
+    # vertex i with an even pick copies parent[link[i]]; each round resolves
+    # the links whose target is known and doubles the reach of the others
+    todo = np.flatnonzero(~odd) + 3
+    link = np.zeros(n + 1, dtype=np.int64)
+    link[todo] = half[todo - 3]
+    while todo.size:
+        target = link[todo]
+        found = parent[target]
+        known = found != 0
+        parent[todo[known]] = found[known]
+        todo, target = todo[~known], target[~known]
+        link[todo] = link[target]
     return GrowthTree(parent)
 
 

@@ -162,12 +162,12 @@ class ShapeTree:
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges as (min, max) pairs, sorted."""
-        out = []
-        for v in range(1, self.n + 1):
-            for w in self.neighbors(v):
-                if v < w:
-                    out.append((v, int(w)))
-        return sorted(out)
+        src = np.repeat(np.arange(1, self.n + 1), np.diff(self.xadj[1:]))
+        dst = self.adjncy[self.xadj[1] : self.xadj[-1]]
+        keep = src < dst
+        lo, hi = src[keep], dst[keep]
+        order = np.lexsort((hi, lo))
+        return list(zip(lo[order].tolist(), hi[order].tolist()))
 
 
 @dataclass(frozen=True)

@@ -96,3 +96,21 @@ def phi_by_list_rerooting(shape):
     for v in order[1:]:
         values[v] = values[parent[v]] + step[v - 1]
     return values
+
+
+def pa_by_endpoint_list(n, gen):
+    """Preferential attachment from the same draw as the library's sampler
+    on the numpy Generator ``gen``, growing the explicit endpoint list in a
+    loop; returns the parent array."""
+    parent = np.zeros(n + 1, dtype=np.int64)
+    parent[2] = 1
+    if n == 2:
+        return parent
+    picks = gen.integers(0, 2 * np.arange(1, n - 1, dtype=np.int64)).tolist()
+    endpoints = [1, 2]
+    for i in range(3, n + 1):
+        j = endpoints[picks[i - 3]]
+        parent[i] = j
+        endpoints.append(j)
+        endpoints.append(i)
+    return parent

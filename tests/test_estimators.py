@@ -41,7 +41,7 @@ from rootfinder import (
     zeta_scores,
 )
 from rootfinder import estimators
-from rootfinder.estimators import ESTIMATOR_TAGS, ScoreVector
+from rootfinder.estimators import ESTIMATOR_TAGS, ScoreVector, rank_interval, tie_runs
 from rootfinder.isomorphism import NAIVE_ORBIT_LIMIT
 from rootfinder.oracle import exact_posterior
 
@@ -359,6 +359,45 @@ def test_membership_outside_straddling_run_computes_no_codes(psi_straddle, monke
     member = run[0] in cs
     assert sorted(calls) == sorted(run)
     assert member == (run[0] in cs.vertices)
+
+
+def test_rank_interval_of_straddling_run(psi_straddle):
+    _, sv, run, lower = psi_straddle
+    for v in run:
+        assert rank_interval(sv, v) == (lower, lower + len(run))
+
+
+@pytest.mark.parametrize("model", [UA, PA])
+@pytest.mark.parametrize("tag", ["psi", "phi"])
+def test_rank_interval_settles_membership_outside_its_run(model, tag):
+    # v is in the k-set when its whole run fits, out when none of it does
+    for stream_id in range(3):
+        shape, _ = random_shape(40, stream_id, model=model)
+        sv = score_tree(shape, tag)
+        order, bounds = tie_runs(sv)
+        assert sorted(order.tolist()) == list(range(1, 41))
+        assert bounds[0] == 0 and bounds[-1] == 40 and np.all(np.diff(bounds) > 0)
+        for k in (1, 2, 5, 13, 39, 40, 41):
+            cs = select_smallest(sv, k)
+            m = min(k, 40)
+            for v in range(1, 41):
+                start, end = rank_interval(sv, v)
+                assert order[start:end].tolist().count(v) == 1
+                if end <= m:
+                    assert v in cs
+                elif start >= m:
+                    assert v not in cs
+
+
+def test_tie_runs_chain_neighbouring_ties():
+    # 1000 and 1000 + 1.2e-6 differ by more than TIE_RTOL * 1000, but each
+    # ties with the score between them, so all three form one run
+    sv = ScoreVector("phi", PATH3, [np.inf, 1000.0, 1000.0 + 1.2e-6, 1000.0 + 6e-7])
+    order, bounds = tie_runs(sv)
+    assert order.tolist() == [1, 3, 2]
+    assert bounds.tolist() == [0, 3]
+    assert rank_interval(sv, 2) == (0, 3)
+    assert len(select_smallest(sv, 2)) == 2
 
 
 # ---------------------------------------------------------------------------

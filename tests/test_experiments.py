@@ -7,6 +7,7 @@ K-monotonicity must hold trial by trial, not just in the aggregate rate.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,12 +18,16 @@ from rootfinder import (
     ExperimentConfig,
     ExperimentResult,
     ModelSpec,
+    RngStream,
     TooLargeError,
+    forget_labels,
     parse_model,
     parse_sweep_grid,
     results_csv,
     root_leaf_frequency,
     run_trials,
+    score_tree,
+    select_smallest,
     sweep,
     wilson_interval,
 )
@@ -349,6 +354,95 @@ def test_sweep_matches_individual_runs():
     assert [c for c, _ in rows] == configs
     for config, result in rows:
         assert result == run_trials(config)
+
+
+ALPHA = parse_model("alpha:1.5")
+
+
+def selection_outcomes(config):
+    """Per-trial outcomes the direct way: sample, relabel, score and ask
+    the confidence set, once per trial and K."""
+    flags = []
+    for t in range(config.trials):
+        gen = RngStream(config.seed, t).generator()
+        shape, root = forget_labels(config.model.sample(config.n, gen), gen)
+        flags.append(root in select_smallest(score_tree(shape, config.estimator), config.k))
+    return np.array(flags)
+
+
+def root_straddles(config):
+    """Whether some trial's root sits in a psi tie run straddling rank k."""
+    for t in range(config.trials):
+        gen = RngStream(config.seed, t).generator()
+        shape, root = forget_labels(config.model.sample(config.n, gen), gen)
+        psi = score_tree(shape, "psi").values
+        lower = int(np.count_nonzero(psi < psi[root]))
+        if lower < config.k < lower + int(np.count_nonzero(psi == psi[root])):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("model", [UA, PA, ALPHA])
+@pytest.mark.parametrize("estimator, n", [("psi", 30), ("phi", 30), ("zeta", 12)])
+def test_sweep_outcomes_match_per_cell_runs(monkeypatch, jobs, model, estimator, n):
+    # psi asks every K, so some K falls inside the root's tie run
+    ks = range(1, n + 2) if estimator == "psi" else (1, 2, 5, n, n + 7)
+    configs = [ExperimentConfig(model, estimator, n, k, trials=16, seed=23) for k in ks]
+    monkeypatch.setattr(
+        experiments, "ProcessPoolExecutor", lambda max_workers: _SerialPool(max_workers, [])
+    )
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    rows = sweep(configs, jobs=jobs)
+    assert [c for c, _ in rows] == configs
+    for config, result in rows:
+        assert np.array_equal(result.outcomes, run_trials(config, jobs=jobs).outcomes)
+        assert np.array_equal(result.outcomes, selection_outcomes(config))
+    if estimator == "psi":
+        assert any(root_straddles(c) for c in configs)
+
+
+def counting_score_tree(monkeypatch):
+    calls = []
+    real = experiments.score_tree
+
+    def counting(shape, estimator):
+        calls.append(estimator)
+        return real(shape, estimator)
+
+    monkeypatch.setattr(experiments, "score_tree", counting)
+    return calls
+
+
+def test_sweep_scores_each_trial_once_per_family(monkeypatch):
+    calls = counting_score_tree(monkeypatch)
+    configs = [small_config(n=20, k=k, trials=7) for k in (1, 3, 5)]
+    configs += [small_config(model=PA, estimator="phi", n=20, k=k, trials=7) for k in (2, 4)]
+    sweep(configs)
+    assert sorted(calls) == ["phi"] * 7 + ["psi"] * 7
+
+
+def test_sweep_families_need_not_be_adjacent(monkeypatch):
+    a = [small_config(n=25, k=k, trials=9) for k in (1, 5, 2)]
+    b = [small_config(n=25, k=k, trials=9, seed=32) for k in (1, 3)]
+    configs = [a[0], b[0], a[1], b[1], a[2]]
+    expected = [run_trials(c).outcomes for c in configs]
+    calls = counting_score_tree(monkeypatch)
+    rows = sweep(configs)
+    assert len(calls) == 18
+    assert [c for c, _ in rows] == configs
+    for (_, result), want in zip(rows, expected):
+        assert np.array_equal(result.outcomes, want)
+
+
+def test_sweep_splits_family_wall_time_evenly(monkeypatch):
+    clock = iter([0.0, 6.0, 10.0, 11.0])
+    monkeypatch.setattr(experiments, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    configs = [small_config(k=k, trials=3) for k in (1, 2)]
+    configs.insert(1, small_config(k=1, trials=3, estimator="phi"))
+    configs.append(small_config(k=4, trials=3))
+    rows = sweep(configs)
+    assert [res.seconds for _, res in rows] == [2.0, 1.0, 2.0, 2.0]
 
 
 def test_sweep_rejects_empty_grid():

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import pa_by_endpoint_list
 from scipy import stats
 
 from rootfinder import (
@@ -169,6 +170,15 @@ def test_uniform_n4_all_six_trees_equally_likely():
 # ---------------------------------------------------------------------------
 # Degree-proportional attachment frequencies
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 1000, 10_000])
+def test_preferential_matches_endpoint_list_loop(n):
+    # same draw, same tree: the pointer jumping resolves exactly the list lookups
+    for i in range(30 if n < 10_000 else 3):
+        got = sample_preferential_attachment(n, RngStream(91, i).generator())
+        want = pa_by_endpoint_list(n, RngStream(91, i).generator())
+        assert got.parent.tolist() == want.tolist()
 
 
 def test_preferential_n3_uniform_over_two():
