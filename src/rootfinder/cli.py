@@ -30,7 +30,7 @@ from .experiments import (
 from .generators import parse_model
 from .oracle import enumerate_plane_recursive, enumerate_recursive
 from .rng import DEFAULT_SEED, RngStream
-from .trees import read_edge_list
+from .trees import format_growth, read_edge_list
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
@@ -71,10 +71,7 @@ def _cmd_generate(args) -> int:
         "generate",
         {"model": model.label, "n": args.n, "seed": seed, "out": args.out},
     )
-    tree = model.sample(args.n, RngStream(seed, 0))
-    lines = [str(tree.n)]
-    lines += [f"{i} {int(tree.parent[i])}" for i in range(2, tree.n + 1)]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(format_growth(model.sample(args.n, RngStream(seed, 0))), args.out)
     return 0
 
 

@@ -10,10 +10,15 @@ Four per-vertex scores, all oriented so that lower means more root-like:
 * xi   — the preferential-attachment analogue: zeta with the candidate's
          degree divided out.
 
-psi and phi run in O(n) and are the at-scale estimators.  zeta and xi
-re-evaluate automorphism factors per candidate root (O(n^2) worst case)
-and are capped at moderate n; they are exact-likelihood tools, not bulk
-ones.  Multiplicative scores live in natural-log domain throughout.
+psi and phi run in O(n) and are the at-scale estimators.  Each is written
+once, as a function of a walk from vertex 1 (a :class:`LevelWalk`): a
+shape's :attr:`ShapeTree.walk_from_1` for :func:`psi_scores` and
+:func:`phi_scores`, a growth tree's own :attr:`GrowthTree.walk` for
+:func:`score_growth`, which scores a sampled tree on its growth labels.
+zeta and xi re-evaluate automorphism factors per candidate root (O(n^2)
+worst case) and are capped at moderate n; they are exact-likelihood
+tools, not bulk ones.  Multiplicative scores live in natural-log domain
+throughout.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from .errors import TooLargeError, UnsupportedModelError
 from .generators import ModelSpec
 from .isomorphism import NAIVE_ORBIT_LIMIT, aut_log, canonical_code, orbit_counts
-from .trees import ShapeTree, rooted_lists, split_sizes
+from .trees import GrowthTree, LevelWalk, ShapeTree, rooted_lists, shape_of_growth
 
 __all__ = [
     "ScoreVector",
@@ -36,6 +41,7 @@ __all__ = [
     "zeta_scores",
     "xi_scores",
     "score_tree",
+    "score_growth",
     "select_smallest",
     "tie_runs",
     "rank_interval",
@@ -157,34 +163,41 @@ class ConfidenceSet:
         return f"ConfidenceSet(estimator={self.estimator!r}, k={self.k}, vertices={self.vertices})"
 
 
-def psi_scores(shape: ShapeTree) -> ScoreVector:
-    """psi(u) = largest component size after deleting u; O(n)."""
-    n = shape.n
-    split = split_sizes(shape)
-    values = np.full(n + 1, np.inf)
-    # per-vertex max over the CSR slice of outgoing component sizes
-    starts = shape.xadj[1 : n + 1]
-    values[1:] = np.maximum.reduceat(split.sizes, starts)
-    return ScoreVector(estimator="psi", shape=shape, values=values)
+def _psi_values(walk: LevelWalk, n: int) -> np.ndarray:
+    """psi(u) = max(n - down[u], largest down[c] over u's children c)."""
+    kids = walk.order[1:]
+    down = walk.down_size
+    biggest = np.zeros(n + 1, dtype=np.int64)
+    np.maximum.at(biggest, walk.parent[kids], down[kids])
+    values = np.maximum(n - down, biggest).astype(np.float64)
+    values[0] = np.inf
+    return values
 
 
-def phi_scores(shape: ShapeTree) -> ScoreVector:
-    """log phi(u) for all u in O(n) by rerooting level by level.
+def _phi_values(walk: LevelWalk, n: int) -> np.ndarray:
+    """log phi(u) for all u by rerooting down a walk from vertex 1.
 
-    phi(root) is summed directly from subtree sizes; stepping the root to
-    a child of subtree size s multiplies phi by (n - s)/s.
+    phi(1) is summed directly from subtree sizes; stepping the root to a
+    child of subtree size s multiplies phi by (n - s)/s.
     """
-    n = shape.n
-    walk = shape.walk_from_1
     down = walk.down_size
     logs = np.zeros(n + 1)
     np.log(down[1:], out=logs[1:])
     up = n - down[1:].astype(np.float64)
-    up[0] = 1.0  # vertex 1 is the traversal root; its entry is never read
+    up[0] = 1.0  # vertex 1 is the walk's root; its entry is never read
     step = np.zeros(n + 1)
     step[1:] = np.log(up) - logs[1:]
-    values = walk.descend(float(np.sum(logs[2:])), step)
-    return ScoreVector(estimator="phi", shape=shape, values=values)
+    return walk.descend(float(np.sum(logs[2:])), step)
+
+
+def psi_scores(shape: ShapeTree) -> ScoreVector:
+    """psi(u) = largest component size after deleting u; O(n)."""
+    return ScoreVector("psi", shape, _psi_values(shape.walk_from_1, shape.n))
+
+
+def phi_scores(shape: ShapeTree) -> ScoreVector:
+    """log phi(u) for all u in O(n), rerooting level by level."""
+    return ScoreVector("phi", shape, _phi_values(shape.walk_from_1, shape.n))
 
 
 def _exact_score(shape: ShapeTree, degree_correction: bool) -> np.ndarray:
@@ -238,6 +251,21 @@ def score_tree(shape: ShapeTree, estimator: str) -> ScoreVector:
     return fn(shape)
 
 
+def score_growth(tree: GrowthTree, estimator: str) -> np.ndarray:
+    """Scores of a growth tree's vertices on its own labels, vertex 1 being
+    the first vertex, as an array of length n+1 with slot 0 at +inf.
+
+    The scores depend on the shape alone, so relabelling the tree moves
+    them with their vertices.  psi and phi need no shape; zeta and xi score
+    :func:`shape_of_growth`.
+    """
+    if estimator == "psi":
+        return _psi_values(tree.walk, tree.n)
+    if estimator == "phi":
+        return _phi_values(tree.walk, tree.n)
+    return score_tree(shape_of_growth(tree), estimator).values
+
+
 def _tie_key(shape: ShapeTree, u: int):
     code = canonical_code(shape, u)
     if shape.n > _EXACT_CODE_LIMIT:
@@ -245,11 +273,13 @@ def _tie_key(shape: ShapeTree, u: int):
     return code
 
 
-def tie_runs(scores: ScoreVector) -> tuple[np.ndarray, np.ndarray]:
+def tie_runs(scores) -> tuple[np.ndarray, np.ndarray]:
     """Vertices in ascending score order and the boundaries of their tied runs.
 
-    ``order`` lists vertex labels by ascending score; run r is
-    ``order[bounds[r]:bounds[r + 1]]``, so ``bounds`` rises from 0 to n.
+    ``scores`` is a :class:`ScoreVector` or its ``values`` array (slot 0
+    unused); only the values are read.  ``order`` lists vertex labels by
+    ascending score; run r is ``order[bounds[r]:bounds[r + 1]]``, so
+    ``bounds`` rises from 0 to n.
     Two neighbours in that order tie when their scores differ by at most
     ``TIE_RTOL`` times the larger magnitude (at least 1), and ties chain: a
     run ends only where two neighbours do not tie.  This is the one
@@ -257,7 +287,7 @@ def tie_runs(scores: ScoreVector) -> tuple[np.ndarray, np.ndarray]:
     from here.  Equal scores may come in any order (the sort need not be
     stable), since callers treat each run as a set.
     """
-    values = scores.values[1:]
+    values = np.asarray(getattr(scores, "values", scores))[1:]
     order = np.argsort(values)
     vals = values[order]
     a, b = vals[1:], vals[:-1]
@@ -267,13 +297,13 @@ def tie_runs(scores: ScoreVector) -> tuple[np.ndarray, np.ndarray]:
     return order + 1, bounds
 
 
-def rank_interval(scores: ScoreVector, v: int) -> tuple[int, int]:
+def rank_interval(scores, v: int) -> tuple[int, int]:
     """The ranks ``[start, end)`` of the tied run holding vertex ``v``.
 
-    Ranks count from 0 in the order of :func:`tie_runs`.  ``v`` is in
-    ``select_smallest(scores, k)`` when ``end <= min(k, n)`` and not when
-    ``start >= min(k, n)``; otherwise its run straddles rank k and the
-    canonical-code order decides.
+    ``scores`` is as in :func:`tie_runs`, and ranks count from 0 in its
+    order.  ``v`` is in ``select_smallest(scores, k)`` when
+    ``end <= min(k, n)`` and not when ``start >= min(k, n)``; otherwise its
+    run straddles rank k and the canonical-code order decides.
     """
     order, bounds = tie_runs(scores)
     rank = int(np.flatnonzero(order == v)[0])

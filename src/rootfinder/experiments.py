@@ -1,12 +1,17 @@
 """Monte Carlo harness for root-finding success rates.
 
-A trial samples a growth tree, shuffles its labels, scores the shape, and
-checks whether the true first vertex landed in the K lowest-scoring
-vertices.  Trial i always uses the stream (seed, i), so results are
-bit-identical whether trials run serially or across worker processes, and
-two configs sharing a seed see the same trees — which makes success rates
-exactly monotone in K and lets different estimators be compared pairwise
-on identical inputs.
+A trial samples a growth tree, scores it on its growth labels (vertex 1 is
+the true first vertex), and checks whether that vertex lands among the K
+lowest-scoring vertices of the tree with its labels shuffled.  The scores,
+and so the true root's rank, do not depend on labels; only the final
+tiebreak does.  So the labels are shuffled only when some K falls strictly
+inside the root's run of tied scores, and then the scores already computed
+move with their vertices.  Trial i always uses the stream (seed, i), and
+the shuffle is the stream's next draw after sampling whether or not it is
+made, so results are bit-identical whether trials run serially or across
+worker processes, and two configs sharing a seed see the same trees —
+which makes success rates exactly monotone in K and lets different
+estimators be compared pairwise on identical inputs.
 
 ``sweep`` exploits the shared trees: cells that differ only in K form a
 K-family whose trials are sampled and scored once.  Per trial the true
@@ -30,10 +35,16 @@ from functools import partial
 import numpy as np
 
 from .errors import BadSizeError, TooLargeError
-from .estimators import ESTIMATOR_TAGS, rank_interval, score_tree, select_smallest
+from .estimators import (
+    ESTIMATOR_TAGS,
+    ScoreVector,
+    rank_interval,
+    score_growth,
+    select_smallest,
+)
 from .generators import ModelSpec, parse_model
 from .rng import DEFAULT_SEED, RngStream
-from .trees import forget_labels
+from .trees import forget_labels, label_permutation
 
 __all__ = [
     "ExperimentConfig",
@@ -140,19 +151,30 @@ def _result_from_outcomes(outcomes: np.ndarray, seconds: float) -> ExperimentRes
 def _family_trial(config: ExperimentConfig, ks: tuple[int, ...], trial: int) -> tuple[bool, ...]:
     """Trial ``trial`` of a K-family: one outcome per K in ``ks``.
 
-    The tree is sampled, relabelled and scored once; ``config.k`` is not
-    read.  Each outcome is read off the true root's rank interval, and only
-    a K that falls inside the root's tied run needs the confidence set.
+    The tree is sampled and scored once, on its growth labels; ``config.k``
+    is not read.  Each outcome is read off the true root's rank interval.
+    Only a K that falls strictly inside the root's tied run needs the
+    confidence set: then, and only then, the labels are shuffled with the
+    permutation :func:`forget_labels` would have drawn right after
+    sampling, the scores move with their vertices, and the canonical-code
+    order on the shuffled shape decides.
     """
     gen = RngStream(config.seed, trial).generator()
     tree = config.model.sample(config.n, gen)
-    shape, true_root = forget_labels(tree, gen)
-    scores = score_tree(shape, config.estimator)
-    start, end = rank_interval(scores, true_root)
+    values = score_growth(tree, config.estimator)
+    start, end = rank_interval(values, 1)
+    scores = None
     flags = []
     for k in ks:
         m = min(k, config.n)
         if start < m < end:  # the root's run straddles rank K
+            if scores is None:
+                perm = label_permutation(config.n, gen)
+                shape, true_root = forget_labels(tree, permutation=perm)
+                moved = np.empty_like(values)
+                moved[0] = values[0]
+                moved[perm] = values[1:]
+                scores = ScoreVector(config.estimator, shape, moved)
             flags.append(true_root in select_smallest(scores, k))
         else:
             flags.append(end <= m)

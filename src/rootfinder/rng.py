@@ -44,10 +44,6 @@ class RngStream:
         ss = np.random.SeedSequence((int(self.seed), int(self.stream_id)))
         return np.random.Generator(np.random.PCG64(ss))
 
-    def substream(self, stream_id: int) -> "RngStream":
-        """Derive the stream with the same seed and a new stream_id."""
-        return RngStream(self.seed, stream_id)
-
 
 def as_generator(rng) -> np.random.Generator:
     """Accept an RngStream, a live Generator, or a bare int seed.

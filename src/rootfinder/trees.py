@@ -9,25 +9,35 @@ Two views of a tree on vertices 1..n:
   iterative and survive path graphs of a million vertices.
 
 All structures are immutable after construction and safe to share across
-worker processes.  :func:`split_sizes` is the one primitive that computes
-component sizes for every ordered edge; the estimators build on it rather
-than re-deriving sizes themselves.
+worker processes.  The estimators read subtree sizes off a
+:class:`LevelWalk` rather than re-deriving them; :func:`split_sizes`
+turns the same walk into a component size for every ordered edge.
 
-Two walks orient a tree away from a root, with the same BFS order:
+Three walks orient a tree away from a root, each giving a
+:class:`LevelWalk` or plain lists:
 
-* the level walk (``_level_walk``) gathers a whole level with numpy and
-  returns a :class:`LevelWalk`.  It serves the passes made once per tree
-  at any n: :func:`subtree_sizes`, :func:`split_sizes` (``psi``) and the
-  ``phi`` rerooting (:meth:`LevelWalk.descend`), all of which share the
-  walk from vertex 1 that :func:`build_shape` makes while validating and
-  the shape keeps (:attr:`ShapeTree.walk_from_1`).  A tree with many
-  narrow levels, such as a path, is handed to the list walk instead, so
-  deep trees stay linear.
+* the level walk (``_level_walk``) gathers a whole level of a shape's CSR
+  adjacency with numpy, in the list walk's BFS order.  It serves the
+  passes made once per shape at any n: :func:`subtree_sizes`,
+  :func:`split_sizes` and the ``psi``/``phi`` scores of a shape, all of
+  which share
+  the walk from vertex 1 that :func:`build_shape` makes while validating
+  and the shape keeps (:attr:`ShapeTree.walk_from_1`).
+* the growth walk (``_growth_walk``) orients a :class:`GrowthTree` from
+  vertex 1 without building a shape: depths come from pointer jumping on
+  ``parent``, levels from a small-integer sort of the depths.  The Monte
+  Carlo trials score each sampled tree on it (:attr:`GrowthTree.walk`)
+  before, and mostly instead of, relabelling it.  Its levels hold the
+  level walk's vertex sets, in label order within a level.
 * the list walk (:func:`rooted_lists`) returns plain lists.  It serves the
   loops that walk a small tree once per candidate root and consume lists
   anyway: ``canonical_code``, ``aut_log``, the exact ``zeta``/``xi``
   scores and the oracles.  On trees of a few hundred vertices it is about
   twice as fast as the level walk.
+
+A tree with many narrow levels, such as a path, leaves the two numpy walks
+for a loop over a topological order (BFS order, or label order for a
+growth tree), so deep trees stay linear.
 """
 
 from __future__ import annotations
@@ -49,8 +59,8 @@ from .errors import (
 )
 from .rng import as_generator
 
-# the level walk hands a tree with more than this many levels narrower than
-# this to the list walk: there numpy's per-call cost outweighs the loop's
+# the numpy walks hand a tree with more than this many levels narrower than
+# this to a loop: there numpy's per-call cost outweighs the loop's
 _NARROW = 64
 # build_shape's duplicate test packs an edge into lo * (n + 1) + hi in int64
 _KEY_LIMIT = 2**31
@@ -63,6 +73,7 @@ __all__ = [
     "build_shape",
     "shape_of_growth",
     "forget_labels",
+    "label_permutation",
     "subtree_sizes",
     "split_sizes",
     "rooted_lists",
@@ -70,6 +81,7 @@ __all__ = [
     "write_edge_list",
     "read_growth",
     "write_growth",
+    "format_growth",
 ]
 
 
@@ -117,6 +129,11 @@ class GrowthTree:
 
     def degree_of(self, v: int) -> int:
         return int(self.degrees()[v])
+
+    @cached_property
+    def walk(self) -> "LevelWalk":
+        """The growth walk from vertex 1, on the tree's own labels."""
+        return _growth_walk(self.parent)
 
 
 @dataclass(frozen=True)
@@ -209,13 +226,16 @@ class RootedView:
 
 @dataclass(frozen=True)
 class LevelWalk:
-    """What the level walk from ``root`` found, without a reference to the
-    shape, so a shape can keep its walk from vertex 1 without a cycle.
+    """What a walk from ``root`` found, without a reference to the tree, so
+    a tree can keep its walk from vertex 1 without a cycle.
 
-    ``order``, ``parent`` and ``down_size`` are as in :class:`RootedView`.
-    ``bounds`` holds where each level starts in ``order``, then
-    ``len(order)``; it is None when a deep tree sent the walk to the list
-    walk.
+    ``parent`` and ``down_size`` are as in :class:`RootedView`.  ``order``
+    lists the vertices level by level, root first (in BFS order from the
+    level walk, by label within a level from the growth walk), and
+    ``bounds`` holds where each level starts in it, then ``len(order)``.
+    When a deep tree sent the walk to a loop, ``bounds`` is None and
+    ``order`` is only a topological order: every parent before its
+    children.
     """
 
     root: int
@@ -227,7 +247,8 @@ class LevelWalk:
     def descend(self, first: float, step: np.ndarray) -> np.ndarray:
         """Sums down the tree: ``values[root] = first`` and
         ``values[v] = values[parent[v]] + step[v]``, one float add per
-        vertex, level by level; slot 0 holds +inf."""
+        vertex, level by level (or along ``order`` when ``bounds`` is
+        None); slot 0 holds +inf."""
         values = np.full(self.parent.shape[0], np.inf)
         values[self.root] = first
         order, parent = self.order, self.parent
@@ -343,24 +364,29 @@ def shape_of_growth(t: GrowthTree) -> ShapeTree:
     )
 
 
+def label_permutation(n: int, rng) -> np.ndarray:
+    """The uniformly random relabelling :func:`forget_labels` draws from
+    ``rng``: old label i becomes ``perm[i-1]``."""
+    return as_generator(rng).permutation(np.arange(1, n + 1))
+
+
 def forget_labels(t: GrowthTree, rng=None, permutation=None):
     """Relabel a GrowthTree with a uniformly random permutation.
 
     Returns ``(shape, true_root)`` where ``true_root`` is the new identity
     of original vertex 1.  Pass ``permutation`` (a sequence mapping old
     label i to ``permutation[i-1]``) to fix the relabeling explicitly,
-    e.g. the identity for tests.
+    e.g. the identity for tests, or the draw of :func:`label_permutation`.
     """
     n = t.n
     if permutation is not None:
         perm = np.asarray(permutation, dtype=np.int64)
-        if sorted(perm.tolist()) != list(range(1, n + 1)):
+        if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(1, n + 1)):
             raise ValueError("permutation must rearrange 1..n")
     else:
         if rng is None:
             raise ValueError("need an rng or an explicit permutation")
-        gen = as_generator(rng)
-        perm = gen.permutation(np.arange(1, n + 1))
+        perm = label_permutation(n, rng)
     relabel = np.zeros(n + 1, dtype=np.int64)
     relabel[1:] = perm
     kids = relabel[np.arange(2, n + 1)]
@@ -470,6 +496,45 @@ def _level_walk(shape: ShapeTree, root: int) -> LevelWalk:
     return LevelWalk(root, *map(_frozen, (order, parent, down)), bounds=tuple(bounds))
 
 
+def _growth_walk(parent: np.ndarray) -> LevelWalk:
+    """Levels and subtree sizes of a growth tree from vertex 1.
+
+    ``parent[i] < i``, so no search is needed.  Each vertex's depth comes
+    from pointer jumping (a vertex and the ancestor it points at add their
+    distances, then it points at that ancestor's ancestor), the levels
+    from a stable sort of the depths as 16-bit keys, and the subtree sizes
+    from one scatter-add per level, deepest first.  A tree with more than
+    ``_NARROW`` levels narrower than ``_NARROW`` (or more levels than the
+    keys hold) is summed in a loop over labels from n down, label order
+    being a topological order.
+    """
+    n = parent.shape[0] - 1
+    par = parent.copy()
+    par[:2] = 0
+    up = par.copy()
+    up[1] = 1
+    depth = np.ones(n + 1, dtype=np.int64)
+    depth[:2] = 0
+    while up.max() > 1:
+        depth += depth[up]
+        up = up[up]
+    width = np.bincount(depth[1:])
+    down = np.ones(n + 1, dtype=np.int64)
+    down[0] = 0
+    if width.shape[0] > 2**16 or np.count_nonzero(width < _NARROW) > _NARROW:
+        acc, p = down.tolist(), par.tolist()
+        for v in range(n, 1, -1):
+            acc[p[v]] += acc[v]
+        order = np.arange(1, n + 1)
+        return LevelWalk(1, *map(_frozen, (order, par, acc)), bounds=None)
+    order = np.argsort(depth[1:].astype(np.uint16), kind="stable") + 1
+    bounds = [0, *np.cumsum(width).tolist()]
+    for a, b in zip(reversed(bounds[1:-1]), reversed(bounds[2:])):
+        level = order[a:b]
+        np.add.at(down, par[level], down[level])
+    return LevelWalk(1, *map(_frozen, (order, par, down)), bounds=tuple(bounds))
+
+
 def _frozen(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.int64)
     arr.flags.writeable = False
@@ -549,7 +614,12 @@ def read_growth(path) -> GrowthTree:
     return GrowthTree(parent)
 
 
-def write_growth(t: GrowthTree, path) -> None:
+def format_growth(t: GrowthTree) -> str:
+    """The GrowthTree file text :func:`read_growth` reads."""
     lines = [str(t.n)]
-    lines += [f"{i} {int(t.parent[i])}" for i in range(2, t.n + 1)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines += [f"{i} {p}" for i, p in enumerate(t.parent[2:].tolist(), start=2)]
+    return "\n".join(lines) + "\n"
+
+
+def write_growth(t: GrowthTree, path) -> None:
+    Path(path).write_text(format_growth(t))

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from rootfinder.cli import main
-from rootfinder.trees import read_growth
+from rootfinder.trees import read_growth, write_growth
 from rootfinder.verify import CheckLine
 
 PATH5 = "1 2\n2 3\n3 4\n4 5\n"
@@ -39,6 +39,16 @@ def test_generate_is_byte_identical_across_runs(capsys):
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_generate_prints_the_growth_file_format(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "generate", "--model", "ua", "--n", "6", "--seed", "7")
+    assert code == 0
+    assert out == "6\n2 1\n3 2\n4 2\n5 3\n6 5\n"
+    source, again = tmp_path / "tree.txt", tmp_path / "again.txt"
+    source.write_text(out)
+    write_growth(read_growth(source), again)
+    assert again.read_text() == out
 
 
 def test_generate_output_parses_as_growth_file(capsys, tmp_path):

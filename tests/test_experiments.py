@@ -32,6 +32,7 @@ from rootfinder import (
     wilson_interval,
 )
 from rootfinder import experiments
+from rootfinder.estimators import rank_interval
 from rootfinder.experiments import CSV_COLUMNS, DEFAULT_MAX_EXACT_N
 from rootfinder.rng import DEFAULT_SEED
 
@@ -370,24 +371,25 @@ def selection_outcomes(config):
     return np.array(flags)
 
 
-def root_straddles(config):
-    """Whether some trial's root sits in a psi tie run straddling rank k."""
-    for t in range(config.trials):
-        gen = RngStream(config.seed, t).generator()
-        shape, root = forget_labels(config.model.sample(config.n, gen), gen)
-        psi = score_tree(shape, "psi").values
-        lower = int(np.count_nonzero(psi < psi[root]))
-        if lower < config.k < lower + int(np.count_nonzero(psi == psi[root])):
-            return True
-    return False
+def straddling(family):
+    """Per trial of a K-family, whether the root's tied run, found the
+    relabel-first way, straddles one of the family's K."""
+    c = family[0]
+    flags = []
+    for t in range(c.trials):
+        gen = RngStream(c.seed, t).generator()
+        shape, root = forget_labels(c.model.sample(c.n, gen), gen)
+        start, end = rank_interval(score_tree(shape, c.estimator), root)
+        flags.append(any(start < min(f.k, c.n) < end for f in family))
+    return flags
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("model", [UA, PA, ALPHA])
-@pytest.mark.parametrize("estimator, n", [("psi", 30), ("phi", 30), ("zeta", 12)])
+@pytest.mark.parametrize("estimator, n", [("psi", 30), ("phi", 30), ("zeta", 12), ("xi", 20)])
 def test_sweep_outcomes_match_per_cell_runs(monkeypatch, jobs, model, estimator, n):
-    # psi asks every K, so some K falls inside the root's tie run
-    ks = range(1, n + 2) if estimator == "psi" else (1, 2, 5, n, n + 7)
+    # psi and phi ask every K, so some K falls inside the root's tie run
+    ks = range(1, n + 2) if estimator in ("psi", "phi") else (1, 2, 5, n, n + 7)
     configs = [ExperimentConfig(model, estimator, n, k, trials=16, seed=23) for k in ks]
     monkeypatch.setattr(
         experiments, "ProcessPoolExecutor", lambda max_workers: _SerialPool(max_workers, [])
@@ -398,28 +400,46 @@ def test_sweep_outcomes_match_per_cell_runs(monkeypatch, jobs, model, estimator,
     for config, result in rows:
         assert np.array_equal(result.outcomes, run_trials(config, jobs=jobs).outcomes)
         assert np.array_equal(result.outcomes, selection_outcomes(config))
-    if estimator == "psi":
-        assert any(root_straddles(c) for c in configs)
+    # so the carried-over scores are checked too; xi's roots straddle a K
+    # only on the alpha trees here
+    if estimator != "xi" or model == ALPHA:
+        assert any(straddling(configs))
 
 
-def counting_score_tree(monkeypatch):
+def counting_calls(monkeypatch, name):
+    """Patch ``experiments.<name>`` to record each call's second positional
+    argument (the estimator, for ``score_growth``), or None."""
     calls = []
-    real = experiments.score_tree
+    real = getattr(experiments, name)
 
-    def counting(shape, estimator):
-        calls.append(estimator)
-        return real(shape, estimator)
+    def counting(tree, *args, **kwargs):
+        calls.append(args[0] if args else None)
+        return real(tree, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "score_tree", counting)
+    monkeypatch.setattr(experiments, name, counting)
     return calls
 
 
 def test_sweep_scores_each_trial_once_per_family(monkeypatch):
-    calls = counting_score_tree(monkeypatch)
-    configs = [small_config(n=20, k=k, trials=7) for k in (1, 3, 5)]
-    configs += [small_config(model=PA, estimator="phi", n=20, k=k, trials=7) for k in (2, 4)]
-    sweep(configs)
+    calls = counting_calls(monkeypatch, "score_growth")
+    relabels = counting_calls(monkeypatch, "forget_labels")
+    psi = [small_config(n=20, k=k, trials=7) for k in (1, 3, 5)]
+    phi = [small_config(model=PA, estimator="phi", n=20, k=k, trials=7) for k in (2, 4)]
+    sweep(psi + phi)
     assert sorted(calls) == ["phi"] * 7 + ["psi"] * 7
+    assert len(relabels) == sum(straddling(psi)) + sum(straddling(phi))
+
+
+@pytest.mark.parametrize("estimator", ["psi", "phi"])
+def test_sweep_relabels_only_trials_whose_root_run_straddles(monkeypatch, estimator):
+    family = [small_config(estimator=estimator, n=30, k=k, trials=40) for k in range(1, 32)]
+    want = straddling(family)
+    assert 0 < sum(want) < len(want)
+    relabels = counting_calls(monkeypatch, "forget_labels")
+    calls = counting_calls(monkeypatch, "score_growth")
+    sweep(family)
+    assert len(calls) == 40
+    assert len(relabels) == sum(want)
 
 
 def test_sweep_families_need_not_be_adjacent(monkeypatch):
@@ -427,9 +447,11 @@ def test_sweep_families_need_not_be_adjacent(monkeypatch):
     b = [small_config(n=25, k=k, trials=9, seed=32) for k in (1, 3)]
     configs = [a[0], b[0], a[1], b[1], a[2]]
     expected = [run_trials(c).outcomes for c in configs]
-    calls = counting_score_tree(monkeypatch)
+    calls = counting_calls(monkeypatch, "score_growth")
+    relabels = counting_calls(monkeypatch, "forget_labels")
     rows = sweep(configs)
     assert len(calls) == 18
+    assert len(relabels) == sum(straddling(a)) + sum(straddling(b))
     assert [c for c, _ in rows] == configs
     for (_, result), want in zip(rows, expected):
         assert np.array_equal(result.outcomes, want)

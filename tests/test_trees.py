@@ -25,6 +25,7 @@ from rootfinder import (
     forget_labels,
     parse_model,
     phi_scores,
+    psi_scores,
     read_edge_list,
     read_growth,
     sample_preferential_attachment,
@@ -35,6 +36,8 @@ from rootfinder import (
     write_edge_list,
     write_growth,
 )
+
+from rootfinder.estimators import score_growth
 
 from helpers import list_walk, phi_by_list_rerooting
 
@@ -277,6 +280,53 @@ def test_deep_path_survives_without_recursion():
     view = subtree_sizes(shape, 1)
     assert view.down_size[1] == n
     assert view.down_size[n] == 1
+
+
+GROWTH_TREES = {
+    "ua": lambda: sample_uniform_attachment(3000, RngStream(6, 1).generator()),
+    "pa": lambda: sample_preferential_attachment(3000, RngStream(6, 2).generator()),
+    "alpha1.5": lambda: parse_model("alpha:1.5").sample(2000, RngStream(6, 3).generator()),
+    "star": lambda: GrowthTree.from_attachments([1] * 499),
+    # a path of 17 edges under vertex 2 beside 300 leaves: the deepest
+    # vertex sits 2**4 + 1 below the root, under vertex 2
+    "broom": lambda: GrowthTree.from_attachments([1, *range(2, 18), *[1] * 300]),
+    "path3000": lambda: GrowthTree.from_attachments(list(range(1, 3000))),
+    "path": lambda: GrowthTree.from_attachments(list(range(1, 200_000))),
+}
+
+
+def walk_depths(walk):
+    """Each vertex's level in a walk: from its bounds, or, without them,
+    summed along its order, which must then put parents first."""
+    depth = np.zeros(walk.parent.shape[0], dtype=np.int64)
+    if walk.bounds is not None:
+        for i, (a, b) in enumerate(zip(walk.bounds, walk.bounds[1:])):
+            depth[walk.order[a:b]] = i
+        return depth
+    d, par = depth.tolist(), walk.parent.tolist()
+    seen = {walk.root}
+    for v in walk.order.tolist()[1:]:
+        assert par[v] in seen
+        seen.add(v)
+        d[v] = d[par[v]] + 1
+    return np.array(d)
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH_TREES))
+def test_growth_walk_matches_level_walk_of_its_shape(name):
+    tree = GROWTH_TREES[name]()
+    shape = shape_of_growth(tree)
+    walk, view = tree.walk, subtree_sizes(shape, 1)
+    # both numpy walks hand the same trees, the paths, to a loop
+    assert (walk.bounds is None) == (shape.walk_from_1.bounds is None) == name.startswith("path")
+    assert walk.root == 1
+    assert sorted(walk.order.tolist()) == list(range(1, tree.n + 1))
+    assert np.array_equal(walk.parent, view.parent)
+    assert np.array_equal(walk.down_size, view.down_size)
+    assert np.array_equal(walk_depths(walk), walk_depths(shape.walk_from_1))
+    assert np.array_equal(score_growth(tree, "psi"), psi_scores(shape).values)
+    phi = score_growth(tree, "phi")
+    np.testing.assert_allclose(phi, phi_scores(shape).values, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
