@@ -46,7 +46,7 @@ from .generators import (
     sample_preferential_attachment,
     sample_uniform_attachment,
 )
-from .isomorphism import aut_log, canonical_code, log_factorials, orbit_count, orbit_counts
+from .isomorphism import aut_log, canonical_code, log_factorials, orbit_counts
 from .oracle import (
     PartitionVector,
     PlaneGrowthTree,
@@ -64,16 +64,13 @@ from .oracle import (
 )
 from .rng import DEFAULT_SEED, RngStream, as_generator
 from .trees import (
-    EdgeSplit,
     GrowthTree,
-    RootedView,
     ShapeTree,
     build_shape,
     forget_labels,
     read_edge_list,
     read_growth,
     shape_of_growth,
-    split_sizes,
     subtree_sizes,
     write_edge_list,
     write_growth,

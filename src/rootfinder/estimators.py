@@ -28,7 +28,7 @@ from hashlib import blake2b
 
 import numpy as np
 
-from .errors import TooLargeError, UnsupportedModelError
+from .errors import TooLargeError
 from .generators import ModelSpec
 from .isomorphism import NAIVE_ORBIT_LIMIT, aut_log, canonical_code, orbit_counts
 from .trees import GrowthTree, LevelWalk, ShapeTree, rooted_lists, shape_of_growth
@@ -346,15 +346,8 @@ def root_posterior(shape: ShapeTree, model: ModelSpec) -> np.ndarray:
     is 0.  Only the two attachment rules with an exact likelihood are
     supported; other alpha values raise UnsupportedModelError.
     """
-    if model.kind == "uniform" or (model.kind == "alpha" and model.alpha == 0.0):
-        vec = zeta_scores(shape)
-    elif model.kind == "preferential" or (model.kind == "alpha" and model.alpha == 1.0):
-        vec = xi_scores(shape)
-    else:
-        raise UnsupportedModelError(
-            f"posterior is defined only for alpha in {{0, 1}}, got {model.label}"
-        )
-    w = -vec.values[1:]
+    score = zeta_scores if model.posterior_kind() == "uniform" else xi_scores
+    w = -score(shape).values[1:]
     w = w - np.max(w)
     p = np.exp(w)
     p /= p.sum()

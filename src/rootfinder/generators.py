@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSizeError
+from .errors import BadSizeError, UnsupportedModelError
 from .rng import as_generator
 from .trees import GrowthTree
 
@@ -58,6 +58,18 @@ class ModelSpec:
         if self.kind == "alpha":
             return f"alpha:{self.alpha:g}"
         return self.kind
+
+    def posterior_kind(self) -> str:
+        """The attachment rule whose exact root posterior this model has:
+        "uniform" (alpha 0) or "preferential" (alpha 1).  Any other alpha
+        has none and raises UnsupportedModelError."""
+        if self.kind == "uniform" or (self.kind == "alpha" and self.alpha == 0.0):
+            return "uniform"
+        if self.kind == "preferential" or (self.kind == "alpha" and self.alpha == 1.0):
+            return "preferential"
+        raise UnsupportedModelError(
+            f"exact posterior is defined only for alpha in {{0, 1}}, got {self.label}"
+        )
 
     def sample(self, n: int, rng) -> GrowthTree:
         if self.kind == "uniform":

@@ -8,7 +8,8 @@ isomorphic, and the code of a tree on n vertices is exactly 2n bytes.
 The automorphism factor Aut(v) of a vertex v in a rooted tree is the
 product of factorials of the multiplicities of isomorphic child subtrees
 at v; the orbit count of u is the number of vertices whose rooted view of
-the whole tree is isomorphic to u's.  Both quantities feed the exact
+the whole tree is isomorphic to u's, and :func:`orbit_counts` gives it for
+every u at once.  Both quantities feed the exact
 likelihood scores, so orbit computation is deliberately the naive
 all-roots method (n codes, O(n^2) worst case) and is capped at moderate n
 rather than approximated.
@@ -26,7 +27,6 @@ from .trees import ShapeTree, rooted_lists
 __all__ = [
     "canonical_code",
     "aut_log",
-    "orbit_count",
     "orbit_counts",
     "log_factorials",
     "NAIVE_ORBIT_LIMIT",
@@ -133,10 +133,3 @@ def orbit_counts(shape: ShapeTree) -> np.ndarray:
         for group in by_code.values():
             out[group] = len(group)
     return out
-
-
-def orbit_count(shape: ShapeTree, u: int) -> int:
-    """Orbit count of a single vertex (computes all orbits internally)."""
-    if not (1 <= u <= shape.n):
-        raise ValueError(f"vertex {u} out of range 1..{shape.n}")
-    return int(orbit_counts(shape)[u])

@@ -29,7 +29,6 @@ from .errors import (
     BadTError,
     NonIntegerResultError,
     TooLargeError,
-    UnsupportedModelError,
 )
 from .generators import ModelSpec
 from .isomorphism import canonical_code, orbit_counts
@@ -266,16 +265,6 @@ def double_factorial_odd(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _posterior_model(model: ModelSpec) -> str:
-    if model.kind == "uniform" or (model.kind == "alpha" and model.alpha == 0.0):
-        return "uniform"
-    if model.kind == "preferential" or (model.kind == "alpha" and model.alpha == 1.0):
-        return "preferential"
-    raise UnsupportedModelError(
-        f"exact posterior is defined only for alpha in {{0, 1}}, got {model.label}"
-    )
-
-
 def _normalize(weights: list[Fraction]) -> list[Fraction]:
     total = sum(weights[1:], start=Fraction(0))
     return [Fraction(0)] + [w / total for w in weights[1:]]
@@ -287,7 +276,7 @@ def exact_posterior(shape: ShapeTree, model: ModelSpec) -> list[Fraction]:
     p(u) is proportional to the embedding count of the tree rooted at u
     divided by u's orbit count.  Index 0 of the result is unused (0).
     """
-    kind = _posterior_model(model)
+    kind = model.posterior_kind()
     n = shape.n
     limit = MAX_POSTERIOR_N if kind == "uniform" else MAX_PLANE_POSTERIOR_N
     if n > limit:
@@ -308,7 +297,7 @@ def enumeration_posterior(shape: ShapeTree, model: ModelSpec) -> list[Fraction]:
     the observed tree rooted at u.  The orbit division then matches the
     formula route's weighting.
     """
-    kind = _posterior_model(model)
+    kind = model.posterior_kind()
     n = shape.n
     limit = MAX_POSTERIOR_N if kind == "uniform" else MAX_PLANE_POSTERIOR_N
     if n > limit:

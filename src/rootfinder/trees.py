@@ -9,20 +9,20 @@ Two views of a tree on vertices 1..n:
   iterative and survive path graphs of a million vertices.
 
 All structures are immutable after construction and safe to share across
-worker processes.  The estimators read subtree sizes off a
-:class:`LevelWalk` rather than re-deriving them; :func:`split_sizes`
-turns the same walk into a component size for every ordered edge.
+worker processes.  A tree oriented away from a root is a
+:class:`LevelWalk`, and the estimators read subtree sizes off it rather
+than re-deriving them: ``size(w -> u)``, the component of u once w is
+deleted, is ``subtree_sizes(shape, w).down_size[u]``.
 
 Three walks orient a tree away from a root, each giving a
 :class:`LevelWalk` or plain lists:
 
 * the level walk (``_level_walk``) gathers a whole level of a shape's CSR
   adjacency with numpy, in the list walk's BFS order.  It serves the
-  passes made once per shape at any n: :func:`subtree_sizes`,
-  :func:`split_sizes` and the ``psi``/``phi`` scores of a shape, all of
-  which share
-  the walk from vertex 1 that :func:`build_shape` makes while validating
-  and the shape keeps (:attr:`ShapeTree.walk_from_1`).
+  passes made once per shape at any n: :func:`subtree_sizes` and the
+  ``psi``/``phi`` scores of a shape, which share the walk from vertex 1
+  that :func:`build_shape` makes while validating and the shape keeps
+  (:attr:`ShapeTree.walk_from_1`).
 * the growth walk (``_growth_walk``) orients a :class:`GrowthTree` from
   vertex 1 without building a shape: depths come from pointer jumping on
   ``parent``, levels from a small-integer sort of the depths.  The Monte
@@ -68,14 +68,12 @@ _KEY_LIMIT = 2**31
 __all__ = [
     "GrowthTree",
     "ShapeTree",
-    "RootedView",
-    "EdgeSplit",
+    "LevelWalk",
     "build_shape",
     "shape_of_growth",
     "forget_labels",
     "label_permutation",
     "subtree_sizes",
-    "split_sizes",
     "rooted_lists",
     "read_edge_list",
     "write_edge_list",
@@ -174,7 +172,7 @@ class ShapeTree:
     @cached_property
     def walk_from_1(self) -> "LevelWalk":
         """The level walk from vertex 1, made once per shape and shared by
-        :func:`split_sizes`, ``phi`` and ``subtree_sizes(shape, 1)``."""
+        ``psi``, ``phi`` and ``subtree_sizes(shape, 1)``."""
         return _level_walk(self, 1)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -188,48 +186,15 @@ class ShapeTree:
 
 
 @dataclass(frozen=True)
-class RootedView:
-    """A ShapeTree oriented away from a chosen root.
-
-    ``order`` lists vertices in BFS order (root first); ``parent`` maps each
-    vertex to its BFS parent (0 for the root); ``down_size[v]`` is the size
-    of the subtree hanging below v, so ``down_size[root] == n``.
-    """
-
-    shape: ShapeTree
-    root: int
-    order: np.ndarray
-    parent: np.ndarray
-    down_size: np.ndarray
-
-    def __post_init__(self):
-        for name in ("order", "parent", "down_size"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            object.__setattr__(self, name, arr)
-            arr.flags.writeable = False
-
-    @cached_property
-    def children(self) -> list[list[int]]:
-        """Child lists indexed by vertex (index 0 unused)."""
-        kids: list[list[int]] = [[] for _ in range(self.shape.n + 1)]
-        par = self.parent.tolist()
-        for v in self.order.tolist()[1:]:
-            kids[par[v]].append(v)
-        return kids
-
-    @cached_property
-    def leaves(self) -> frozenset[int]:
-        """Vertices with no children in the rooted orientation."""
-        counts = np.bincount(self.parent[self.order[1:]], minlength=self.shape.n + 1)
-        return frozenset(int(v) for v in range(1, self.shape.n + 1) if counts[v] == 0)
-
-
-@dataclass(frozen=True)
 class LevelWalk:
-    """What a walk from ``root`` found, without a reference to the tree, so
-    a tree can keep its walk from vertex 1 without a cycle.
+    """A tree oriented away from ``root``: what a walk from it found,
+    without a reference to the tree, so a tree can keep its walk from
+    vertex 1 without a cycle.
 
-    ``parent`` and ``down_size`` are as in :class:`RootedView`.  ``order``
+    ``parent`` maps each vertex to its parent (0 for the root), and
+    ``down_size[v]`` is the size of the subtree hanging below v, so
+    ``down_size[root] == n`` (slot 0 holds 0).  The children of v are the
+    vertices whose parent is v; the leaves are no vertex's parent.  ``order``
     lists the vertices level by level, root first (in BFS order from the
     level walk, by label within a level from the growth walk), and
     ``bounds`` holds where each level starts in it, then ``len(order)``.
@@ -261,37 +226,6 @@ class LevelWalk:
             level = order[a:b]
             values[level] = values[parent[level]] + step[level]
         return values
-
-
-@dataclass(frozen=True)
-class EdgeSplit:
-    """Component sizes for every ordered edge of a ShapeTree.
-
-    ``sizes`` is aligned with ``shape.adjncy``: if slot k of u's adjacency
-    holds v, then ``sizes[k]`` is the size of the component containing v
-    after deleting u — i.e. the subtree of v when the tree is rooted at u.
-    """
-
-    shape: ShapeTree
-    sizes: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.sizes, dtype=np.int64)
-        object.__setattr__(self, "sizes", s)
-        s.flags.writeable = False
-
-    def toward(self, u: int) -> np.ndarray:
-        """Sizes aligned with ``shape.neighbors(u)``."""
-        return self.sizes[self.shape.xadj[u] : self.shape.xadj[u + 1]]
-
-    def size(self, u: int, v: int) -> int:
-        """size(u -> v) for the edge {u, v}."""
-        sl = self.shape.xadj[u], self.shape.xadj[u + 1]
-        nb = self.shape.adjncy[sl[0] : sl[1]]
-        hit = np.nonzero(nb == v)[0]
-        if hit.size == 0:
-            raise ValueError(f"({u}, {v}) is not an edge")
-        return int(self.sizes[sl[0] + hit[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +383,7 @@ def _level_walk(shape: ShapeTree, root: int) -> LevelWalk:
     again from the root.  The walk keeps only the parent out of each
     frontier, so on a cyclic component it would not end: it stops with
     CycleOrDisconnectedError once it has met more than n vertices.  A
-    disconnected graph gives a view of root's component only.
+    disconnected graph gives a walk of root's component only.
     """
     n = shape.n
     xadj, adjncy = shape.xadj, shape.adjncy
@@ -541,31 +475,12 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
-def subtree_sizes(shape: ShapeTree, root: int) -> RootedView:
+def subtree_sizes(shape: ShapeTree, root: int) -> LevelWalk:
     """Orient the tree away from ``root`` and compute all subtree sizes."""
     n = shape.n
     if not (1 <= root <= n):
         raise ValueError(f"root {root} out of range 1..{n}")
-    walk = shape.walk_from_1 if root == 1 else _level_walk(shape, root)
-    return RootedView(
-        shape=shape, root=root, order=walk.order, parent=walk.parent, down_size=walk.down_size
-    )
-
-
-def split_sizes(shape: ShapeTree) -> EdgeSplit:
-    """Component size for every ordered edge, in O(n) total.
-
-    The walk from vertex 1 gives subtree sizes; the reverse direction of
-    each edge is n minus the forward size.
-    """
-    n = shape.n
-    walk = shape.walk_from_1
-    down = walk.down_size
-    parent = walk.parent
-    owner = np.repeat(np.arange(1, n + 1, dtype=np.int64), shape.degrees()[1:])
-    nb = shape.adjncy
-    sizes = np.where(parent[nb] == owner, down[nb], n - down[owner])
-    return EdgeSplit(shape=shape, sizes=sizes)
+    return shape.walk_from_1 if root == 1 else _level_walk(shape, root)
 
 
 # ---------------------------------------------------------------------------
@@ -602,15 +517,22 @@ def write_edge_list(shape: ShapeTree, path) -> None:
 
 
 def read_growth(path) -> GrowthTree:
-    """GrowthTree file: header line "n", then n-1 lines "i parent[i]"."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    n = int(lines[0])
-    parent = np.zeros(n + 1, dtype=np.int64)
-    if len(lines) - 1 != n - 1:
+    """GrowthTree file: header line "n", then n-1 lines "i parent[i]", one
+    for each i in 2..n.  A file that breaks this raises ValueError; the
+    line count is checked before anything of size n is allocated."""
+    lines = [ln.split() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    if not lines or len(lines[0]) != 1:
+        raise ValueError("a growth file starts with a header line holding n")
+    n = int(lines[0][0])
+    if len(lines) != n:
         raise ValueError(f"expected {n - 1} parent lines, found {len(lines) - 1}")
-    for ln in lines[1:]:
-        i, p = ln.split()
-        parent[int(i)] = int(p)
+    if any(len(ln) != 2 for ln in lines[1:]):
+        raise ValueError("a parent line holds two integers: i parent[i]")
+    pairs = np.array(lines[1:], dtype=np.int64).reshape(-1, 2)
+    if not np.array_equal(np.sort(pairs[:, 0]), np.arange(2, n + 1)):
+        raise ValueError(f"the parent lines must name each of 2..{n} once")
+    parent = np.zeros(n + 1, dtype=np.int64)
+    parent[pairs[:, 0]] = pairs[:, 1]
     return GrowthTree(parent)
 
 

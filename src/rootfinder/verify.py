@@ -249,17 +249,13 @@ SUITES = {
 
 def run_suite(name: str, n_max: int | None = None, trials: int = 100_000,
               seed: int = DEFAULT_SEED) -> list[CheckLine]:
-    """Run one named suite with the applicable subset of the knobs."""
-    if name == "counting":
-        return counting_suite(n_max if n_max is not None else 7)
-    if name == "plane-counting":
-        return plane_counting_suite(n_max if n_max is not None else 6)
-    if name == "posterior":
-        return posterior_suite(n_max if n_max is not None else 6)
-    if name == "partitions":
-        return partitions_suite(n_max if n_max is not None else 500)
-    if name == "gamma":
-        return gamma_suite(trials=trials, seed=seed)
-    if name == "product-tail":
-        return product_tail_suite(trials=trials, seed=seed)
-    raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
+    """Run one named suite with the applicable subset of the knobs: the
+    sampled suites take ``trials`` and ``seed``, the others ``n_max`` when
+    it is given (each suite keeps its own default)."""
+    try:
+        suite = SUITES[name]
+    except KeyError:
+        raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}") from None
+    if name in ("gamma", "product-tail"):
+        return suite(trials=trials, seed=seed)
+    return suite() if n_max is None else suite(n_max)

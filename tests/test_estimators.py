@@ -35,7 +35,6 @@ from rootfinder import (
     sample_uniform_attachment,
     score_tree,
     select_smallest,
-    split_sizes,
     subtree_sizes,
     xi_scores,
     zeta_scores,
@@ -112,9 +111,8 @@ def test_phi_rerooting_identity_on_edges():
     shape, _ = random_shape(300, 1)
     n = shape.n
     vals = phi_scores(shape).values
-    split = split_sizes(shape)
     for u, w in shape.edges():
-        s = split.size(w, u)
+        s = subtree_sizes(shape, w).down_size[u]
         assert vals[u] - vals[w] == pytest.approx(math.log(n - s) - math.log(s), abs=1e-9)
 
 

@@ -1,4 +1,5 @@
-"""Tree representations: construction, validation, sizes, and file I/O.
+"""Tree representations: construction, validation, sizes, file I/O, and
+the package's exported names.
 
 Hand-checked fixtures used throughout:
 
@@ -7,13 +8,16 @@ Hand-checked fixtures used throughout:
   mixed5  1-2, 2-3, 2-4, 4-5 (one internal vertex of degree 3)
 """
 
+import importlib
 import os
+import pkgutil
 import threading
 import warnings
 
 import numpy as np
 import pytest
 
+import rootfinder
 from rootfinder import (
     BadSizeError,
     CycleOrDisconnectedError,
@@ -31,7 +35,6 @@ from rootfinder import (
     sample_preferential_attachment,
     sample_uniform_attachment,
     shape_of_growth,
-    split_sizes,
     subtree_sizes,
     write_edge_list,
     write_growth,
@@ -170,33 +173,43 @@ def test_shape_immutable():
 
 
 # ---------------------------------------------------------------------------
-# Rooted views and subtree sizes
+# Subtree sizes
 # ---------------------------------------------------------------------------
 
 
+def children(walk, v):
+    """The vertices whose parent is v, by label."""
+    return np.flatnonzero(walk.parent == v).tolist()
+
+
+def leaves(walk):
+    """The vertices that are no vertex's parent."""
+    return set(range(1, walk.parent.shape[0])) - set(walk.parent.tolist())
+
+
 def test_subtree_sizes_path_rooted_at_end():
-    view = subtree_sizes(build_shape(PATH5), 1)
-    assert view.down_size.tolist() == [0, 5, 4, 3, 2, 1]
-    assert view.order.tolist() == [1, 2, 3, 4, 5]
-    assert view.parent.tolist() == [0, 0, 1, 2, 3, 4]
-    assert view.children[2] == [3]
-    assert view.leaves == frozenset({5})
+    walk = subtree_sizes(build_shape(PATH5), 1)
+    assert walk.down_size.tolist() == [0, 5, 4, 3, 2, 1]
+    assert walk.order.tolist() == [1, 2, 3, 4, 5]
+    assert walk.parent.tolist() == [0, 0, 1, 2, 3, 4]
+    assert children(walk, 2) == [3]
+    assert leaves(walk) == {5}
 
 
 def test_subtree_sizes_path_rooted_in_middle():
-    view = subtree_sizes(build_shape(PATH5), 3)
-    down = view.down_size
+    walk = subtree_sizes(build_shape(PATH5), 3)
+    down = walk.down_size
     assert down[3] == 5
     assert down[2] == 2 and down[4] == 2
     assert down[1] == 1 and down[5] == 1
-    assert view.leaves == frozenset({1, 5})
+    assert leaves(walk) == {1, 5}
 
 
 def test_subtree_sizes_star():
-    view = subtree_sizes(build_shape(STAR4), 1)
-    assert view.down_size.tolist() == [0, 4, 1, 1, 1]
-    view = subtree_sizes(build_shape(STAR4), 2)
-    assert view.down_size.tolist() == [0, 3, 4, 1, 1]
+    walk = subtree_sizes(build_shape(STAR4), 1)
+    assert walk.down_size.tolist() == [0, 4, 1, 1, 1]
+    walk = subtree_sizes(build_shape(STAR4), 2)
+    assert walk.down_size.tolist() == [0, 3, 4, 1, 1]
 
 
 def test_subtree_sizes_root_out_of_range():
@@ -209,11 +222,12 @@ def test_subtree_sizes_root_out_of_range():
 
 def test_children_sum_is_n_minus_one():
     shape = random_shape(137, 0)
-    view = subtree_sizes(shape, 42)
-    assert sum(len(kids) for kids in view.children) == shape.n - 1
+    walk = subtree_sizes(shape, 42)
+    kids = [children(walk, v) for v in range(1, shape.n + 1)]
+    assert sum(map(len, kids)) == shape.n - 1
     # down sizes of each vertex = 1 + sum over children
-    for v in range(1, shape.n + 1):
-        assert view.down_size[v] == 1 + sum(view.down_size[c] for c in view.children[v])
+    for v, below in enumerate(kids, start=1):
+        assert walk.down_size[v] == 1 + sum(walk.down_size[c] for c in below)
 
 
 def _deep_shape(n, seed):
@@ -255,11 +269,11 @@ def test_level_walk_matches_list_walk(name):
     shape = WALK_SHAPES[name]()
     n = shape.n
     for root in sorted({1, 2, n // 3, n // 2 + 1, n}):
-        view = subtree_sizes(shape, root)
+        walk = subtree_sizes(shape, root)
         order, parent, down = list_walk(shape, root)
-        assert view.order.tolist() == order
-        assert view.parent.tolist() == parent
-        assert view.down_size.tolist() == down
+        assert walk.order.tolist() == order
+        assert walk.parent.tolist() == parent
+        assert walk.down_size.tolist() == down
 
 
 @pytest.mark.parametrize("name", ["ua", "pa", "deep", "broom", "path"])
@@ -277,9 +291,9 @@ def test_deep_path_survives_without_recursion():
     n = 200_000
     t = GrowthTree.from_attachments(list(range(1, n)))  # pure path
     shape = shape_of_growth(t)
-    view = subtree_sizes(shape, 1)
-    assert view.down_size[1] == n
-    assert view.down_size[n] == 1
+    walk = subtree_sizes(shape, 1)
+    assert walk.down_size[1] == n
+    assert walk.down_size[n] == 1
 
 
 GROWTH_TREES = {
@@ -316,54 +330,17 @@ def walk_depths(walk):
 def test_growth_walk_matches_level_walk_of_its_shape(name):
     tree = GROWTH_TREES[name]()
     shape = shape_of_growth(tree)
-    walk, view = tree.walk, subtree_sizes(shape, 1)
+    walk, level = tree.walk, subtree_sizes(shape, 1)
     # both numpy walks hand the same trees, the paths, to a loop
     assert (walk.bounds is None) == (shape.walk_from_1.bounds is None) == name.startswith("path")
     assert walk.root == 1
     assert sorted(walk.order.tolist()) == list(range(1, tree.n + 1))
-    assert np.array_equal(walk.parent, view.parent)
-    assert np.array_equal(walk.down_size, view.down_size)
+    assert np.array_equal(walk.parent, level.parent)
+    assert np.array_equal(walk.down_size, level.down_size)
     assert np.array_equal(walk_depths(walk), walk_depths(shape.walk_from_1))
     assert np.array_equal(score_growth(tree, "psi"), psi_scores(shape).values)
     phi = score_growth(tree, "phi")
     np.testing.assert_allclose(phi, phi_scores(shape).values, rtol=1e-12, atol=0)
-
-
-# ---------------------------------------------------------------------------
-# split_sizes
-# ---------------------------------------------------------------------------
-
-
-def test_split_sizes_path():
-    split = split_sizes(build_shape(PATH5))
-    assert split.size(3, 2) == 2
-    assert split.size(3, 4) == 2
-    assert split.size(2, 3) == 3
-    assert split.size(1, 2) == 4
-    assert split.toward(3).tolist() == [2, 2]
-    with pytest.raises(ValueError):
-        split.size(1, 3)  # not an edge
-
-
-@pytest.mark.parametrize("stream", [1, 2, 3])
-def test_split_sizes_against_per_root_recomputation(stream):
-    shape = random_shape(200, stream)
-    n = shape.n
-    split = split_sizes(shape)
-    for u in range(1, n + 1):
-        down = subtree_sizes(shape, u).down_size
-        for v in shape.neighbors(u).tolist():
-            assert split.size(u, v) == down[v]
-
-
-def test_split_sizes_direction_sums():
-    shape = random_shape(150, 4)
-    n = shape.n
-    split = split_sizes(shape)
-    for u, v in shape.edges():
-        assert split.size(u, v) + split.size(v, u) == n
-    for u in range(1, n + 1):
-        assert int(split.toward(u).sum()) == n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -501,3 +478,33 @@ def test_growth_file_wrong_line_count(tmp_path):
     p.write_text("4\n2 1\n3 1\n")
     with pytest.raises(ValueError):
         read_growth(p)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "5\n2 1\n3 1\n4 2\n-1 2\n",  # -1 is no vertex, and vertex 5 has no line
+        "4\n2 1\n3 1\n9 2\n",  # child id above n
+        "",
+        "1000000000000\n2 1\n",  # a header far beyond the lines that follow
+    ],
+    ids=["negative-child", "child-above-n", "empty", "huge-header"],
+)
+def test_growth_file_rejects_malformed(tmp_path, text):
+    p = tmp_path / "t.growth"
+    p.write_text(text)
+    with pytest.raises(ValueError):
+        read_growth(p)
+
+
+# ---------------------------------------------------------------------------
+# Exports
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name", sorted(f"rootfinder.{m.name}" for m in pkgutil.iter_modules(rootfinder.__path__))
+)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)] == []
