@@ -5,7 +5,8 @@ and renders text.  The resolved configuration (including the seed actually
 used) is echoed to stderr before any results, so output on stdout stays
 machine-readable while every run remains attributable to its inputs.
 
-Exit codes: 0 success, 1 failed verification assertions, 2 usage errors.
+Exit codes: 0 success, 1 failed verification assertions, 2 usage errors,
+including a size (such as ``--n``) whose arrays cannot be allocated.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (RootfinderError, ValueError, OSError) as exc:
+    except (RootfinderError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -273,6 +273,12 @@ def _tie_key(shape: ShapeTree, u: int):
     return code
 
 
+def _tied(a, b):
+    """Whether scores ``a`` and ``b`` (arrays or scalars) tie: they differ by
+    at most ``TIE_RTOL`` times the larger of their magnitudes and 1."""
+    return np.abs(a - b) <= TIE_RTOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
 def tie_runs(scores) -> tuple[np.ndarray, np.ndarray]:
     """Vertices in ascending score order and the boundaries of their tied runs.
 
@@ -280,18 +286,16 @@ def tie_runs(scores) -> tuple[np.ndarray, np.ndarray]:
     unused); only the values are read.  ``order`` lists vertex labels by
     ascending score; run r is ``order[bounds[r]:bounds[r + 1]]``, so
     ``bounds`` rises from 0 to n.
-    Two neighbours in that order tie when their scores differ by at most
-    ``TIE_RTOL`` times the larger magnitude (at least 1), and ties chain: a
-    run ends only where two neighbours do not tie.  This is the one
-    statement of the tie rule; selection and the rank interval both read it
-    from here.  Equal scores may come in any order (the sort need not be
-    stable), since callers treat each run as a set.
+    Two neighbours in that order tie when :func:`_tied` says so, and ties
+    chain: a run ends only where two neighbours do not tie.  This is the
+    one statement of the tie rule; selection and the rank interval both
+    read it from here.  Equal scores may come in any order (the sort need
+    not be stable), since callers treat each run as a set.
     """
     values = np.asarray(getattr(scores, "values", scores))[1:]
     order = np.argsort(values)
     vals = values[order]
-    a, b = vals[1:], vals[:-1]
-    tied = np.abs(a - b) <= TIE_RTOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    tied = _tied(vals[1:], vals[:-1])
     n = values.shape[0]
     bounds = np.concatenate(([0], np.flatnonzero(~tied) + 1, [n]))
     return order + 1, bounds
@@ -304,7 +308,30 @@ def rank_interval(scores, v: int) -> tuple[int, int]:
     order.  ``v`` is in ``select_smallest(scores, k)`` when
     ``end <= min(k, n)`` and not when ``start >= min(k, n)``; otherwise its
     run straddles rank k and the canonical-code order decides.
+
+    No sort is needed when v's run is just the scores equal to v's: then
+    ``start`` counts the lower scores and ``end`` the scores at most v's.
+    That holds unless the nearest score on either side ties with v's (or
+    v's score is not finite); only then is the run read off :func:`tie_runs`,
+    so a chain of near-ties costs one O(n log n) sort.  A ``v`` outside
+    1..n raises ValueError.
     """
+    values = np.asarray(getattr(scores, "values", scores))[1:]
+    n = values.shape[0]
+    if not 1 <= v <= n:
+        raise ValueError(f"vertex {v} is not in 1..{n}")
+    x = values[v - 1]
+    below = values < x
+    start = int(np.count_nonzero(below))
+    end = int(np.count_nonzero(values <= x))
+    above = values > x
+    widens = (
+        not _tied(x, x)
+        or (start > 0 and _tied(x, values.max(initial=-np.inf, where=below)))
+        or (end < n and _tied(x, values.min(initial=np.inf, where=above)))
+    )
+    if not widens:
+        return start, end
     order, bounds = tie_runs(scores)
     rank = int(np.flatnonzero(order == v)[0])
     r = int(np.searchsorted(bounds, rank, side="right")) - 1

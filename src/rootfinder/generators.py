@@ -122,32 +122,29 @@ def sample_preferential_attachment(n: int, rng) -> GrowthTree:
     The list is never built: it starts [1, 2] and vertex i appends
     [parent[i], i], so an odd index p holds vertex (p-1)/2 + 2 and an even
     index 2m holds parent[m+2], an earlier vertex's parent.  Index draws
-    are vectorized up front and the even ones resolved by pointer jumping.
+    are vectorized up front.  Vertex i's pick names ``link = pick // 2 + 2``:
+    an odd pick is terminal, with parent ``link``; an even one copies the
+    parent of vertex ``link``.  Pointer doubling over the whole array
+    (``ptr = ptr[ptr]`` until nothing changes) takes every vertex to the
+    terminal vertex at the end of its chain, whose link is the parent.
     """
     _check_n(n)
     gen = as_generator(rng)
-    parent = np.zeros(n + 1, dtype=np.int64)
-    parent[2] = 1
-    if n == 2:
-        return GrowthTree(parent)
+    # vertex 2 is terminal, its link (and parent) vertex 1
+    link = np.zeros(n + 1, dtype=np.int64)
+    link[2] = 1
     # before vertex i arrives the list holds 2(i-2) endpoints
     picks = gen.integers(0, 2 * np.arange(1, n - 1, dtype=np.int64))
-    half = (picks >> 1) + 2
-    odd = (picks & 1).astype(bool)
-    parent[3:][odd] = half[odd]
-    # vertex i with an even pick copies parent[link[i]]; each round resolves
-    # the links whose target is known and doubles the reach of the others
-    todo = np.flatnonzero(~odd) + 3
-    link = np.zeros(n + 1, dtype=np.int64)
-    link[todo] = half[todo - 3]
-    while todo.size:
-        target = link[todo]
-        found = parent[target]
-        known = found != 0
-        parent[todo[known]] = found[known]
-        todo, target = todo[~known], target[~known]
-        link[todo] = link[target]
-    return GrowthTree(parent)
+    link[3:] = (picks >> 1) + 2
+    # terminal vertices (0, 1, 2 and odd picks) point at themselves, the
+    # others at their link (an arithmetic select: np.where branches per item)
+    ptr = np.arange(n + 1, dtype=np.int64)
+    ptr[3:] -= (~picks & 1) * (ptr[3:] - link[3:])
+    while True:
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            return GrowthTree(link[ptr])
+        ptr = nxt
 
 
 class _Fenwick:

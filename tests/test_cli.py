@@ -268,6 +268,26 @@ def test_enumerate_rejects_oversized_n(capsys):
     assert "\nerror: " in err and "capped" in err
 
 
+# far beyond any address space, so the first array fails to allocate at
+# once, whatever the host's overcommit setting; never use a size it could map
+UNMAPPABLE_N = "100000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--model", "pa"),
+        ("experiment", "--model", "pa", "--estimator", "psi", "--k", "1",
+         "--trials", "1", "--jobs", "1"),
+    ],
+)
+def test_unallocatable_n_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--n", UNMAPPABLE_N)
+    assert code == 2
+    assert out == ""
+    assert "\nerror: " in err
+
+
 # ---------------------------------------------------------------------------
 # usage errors and entry point
 

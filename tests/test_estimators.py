@@ -16,6 +16,7 @@ Hand-evaluated reference values (all verifiable on paper):
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -40,7 +41,13 @@ from rootfinder import (
     zeta_scores,
 )
 from rootfinder import estimators
-from rootfinder.estimators import ESTIMATOR_TAGS, ScoreVector, rank_interval, tie_runs
+from rootfinder.estimators import (
+    ESTIMATOR_TAGS,
+    TIE_RTOL,
+    ScoreVector,
+    rank_interval,
+    tie_runs,
+)
 from rootfinder.isomorphism import NAIVE_ORBIT_LIMIT
 from rootfinder.oracle import exact_posterior
 
@@ -396,6 +403,55 @@ def test_tie_runs_chain_neighbouring_ties():
     assert bounds.tolist() == [0, 3]
     assert rank_interval(sv, 2) == (0, 3)
     assert len(select_smallest(sv, 2)) == 2
+
+
+def runs_by_vertex(scores) -> dict[int, tuple[int, int]]:
+    """Each vertex's run ``[start, end)`` as :func:`tie_runs` lists it."""
+    order, bounds = tie_runs(scores)
+    cuts = bounds.tolist()
+    return {
+        int(v): (i, j) for i, j in zip(cuts, cuts[1:]) for v in order[i:j]
+    }
+
+
+@pytest.mark.parametrize("model", [UA, PA])
+@pytest.mark.parametrize("tag", ["psi", "phi"])
+def test_rank_interval_is_the_vertex_run_of_tie_runs(model, tag):
+    for stream_id in range(3):
+        shape, _ = random_shape(40, stream_id, model=model)
+        sv = score_tree(shape, tag)
+        want = runs_by_vertex(sv)
+        assert {v: rank_interval(sv, v) for v in range(1, 41)} == want
+
+
+def test_rank_interval_of_exact_ties():
+    values = np.array([np.inf, 3.0, 1.0, 3.0, 2.0, 3.0, 2.0])
+    got = [rank_interval(values, v) for v in range(1, 7)]
+    assert got == [(3, 6), (0, 1), (3, 6), (1, 3), (3, 6), (1, 3)]
+    assert dict(enumerate(got, start=1)) == runs_by_vertex(values)
+
+
+def test_rank_interval_follows_a_long_chain_of_near_ties():
+    # each score ties with the next and none with one two steps on, so the
+    # 10^4 scores are one run; reading it must not widen one step at a time
+    n = 10_000
+    chain = 1000.0 * np.cumprod(np.full(n, 1.0 + 0.6 * TIE_RTOL))
+    assert np.all(chain[2:] - chain[:-2] > TIE_RTOL * chain[2:])
+    values = np.empty(n + 1)
+    values[0] = np.inf
+    values[1:] = RngStream(77, 0).generator().permutation(chain)
+    begun = time.perf_counter()
+    for v in (1, 2, n // 2, n - 1, n):
+        assert rank_interval(values, v) == (0, n)
+    assert time.perf_counter() - begun < 1.0
+    assert tie_runs(values)[1].tolist() == [0, n]
+
+
+@pytest.mark.parametrize("v", [0, 41, -1])
+def test_rank_interval_rejects_vertices_outside_the_tree(v):
+    shape, _ = random_shape(40, 0)
+    with pytest.raises(ValueError):
+        rank_interval(psi_scores(shape), v)
 
 
 # ---------------------------------------------------------------------------
