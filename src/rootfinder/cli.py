@@ -12,6 +12,7 @@ including a size (such as ``--n``) whose arrays cannot be allocated.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import secrets
@@ -37,14 +38,20 @@ from .verify import SUITES, run_suite
 __all__ = ["main"]
 
 
-def _default_jobs() -> int:
+def _resolve_jobs(jobs: int | None) -> int:
+    """``--jobs`` when given, else ``ROOTFINDER_JOBS``, else 1.  Read only
+    by the commands that run trials, so a bad value breaks no other
+    command; it is a usage error (exit code 2)."""
+    if jobs is not None:
+        return jobs
     env = os.environ.get("ROOTFINDER_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SystemExit(f"error: ROOTFINDER_JOBS must be an integer, got {env!r}")
-    return 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        print(f"error: ROOTFINDER_JOBS must be an integer, got {env!r}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _resolve_seed(text: str) -> int:
@@ -108,6 +115,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    jobs = _resolve_jobs(args.jobs)
     model = parse_model(args.model, args.alpha)
     seed = _resolve_seed(args.seed)
     config = ExperimentConfig(
@@ -127,22 +135,23 @@ def _cmd_experiment(args) -> int:
             "k": args.k,
             "trials": args.trials,
             "seed": seed,
-            "jobs": args.jobs,
+            "jobs": jobs,
         },
     )
-    result = run_trials(config, jobs=args.jobs, max_exact_n=args.max_exact_n)
+    result = run_trials(config, jobs=jobs, max_exact_n=args.max_exact_n)
     _emit(results_csv([(config, result)]), args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    jobs = _resolve_jobs(args.jobs)
     text = Path(args.config).read_text()
     configs = parse_sweep_grid(text)
     _echo_config(
         "sweep",
-        {"config": args.config, "cells": len(configs), "jobs": args.jobs},
+        {"config": args.config, "cells": len(configs), "jobs": jobs},
     )
-    rows = sweep(configs, jobs=args.jobs, max_exact_n=args.max_exact_n)
+    rows = sweep(configs, jobs=jobs, max_exact_n=args.max_exact_n)
     _emit(results_csv(rows), args.out)
     return 0
 
@@ -178,7 +187,10 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it reads nothing but
+    its own arguments, so every call of :func:`main` can share it."""
     parser = argparse.ArgumentParser(
         prog="rootfinder",
         description="Random growing trees: generation, root inference, exact checks.",
@@ -212,14 +224,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", default=str(DEFAULT_SEED))
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--max-exact-n", type=int, default=DEFAULT_MAX_EXACT_N)
     add_common_out(p)
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("sweep", help="run a grid of experiment cells from a file")
     p.add_argument("--config", required=True, help="key=value grid file")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--max-exact-n", type=int, default=DEFAULT_MAX_EXACT_N)
     add_common_out(p)
     p.set_defaults(fn=_cmd_sweep)

@@ -274,30 +274,48 @@ def _tie_key(shape: ShapeTree, u: int):
 
 
 def _tied(a, b):
-    """Whether scores ``a`` and ``b`` (arrays or scalars) tie: they differ by
-    at most ``TIE_RTOL`` times the larger of their magnitudes and 1."""
-    return np.abs(a - b) <= TIE_RTOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    """Whether scores ``a`` and ``b`` (arrays or scalars) tie: they are
+    equal, or both finite and apart by at most ``TIE_RTOL`` times the
+    larger of their magnitudes and 1.  So equal infinities tie, and a
+    finite score never ties an infinite one."""
+    with np.errstate(invalid="ignore"):  # inf - inf: equal, so a == b holds
+        gap = np.abs(a - b)
+    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return (a == b) | ((gap <= TIE_RTOL * scale) & (scale < np.inf))
 
 
-def tie_runs(scores) -> tuple[np.ndarray, np.ndarray]:
+def tie_runs(scores, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Vertices in ascending score order and the boundaries of their tied runs.
 
     ``scores`` is a :class:`ScoreVector` or its ``values`` array (slot 0
     unused); only the values are read.  ``order`` lists vertex labels by
     ascending score; run r is ``order[bounds[r]:bounds[r + 1]]``, so
-    ``bounds`` rises from 0 to n.
+    ``bounds`` rises from 0 to ``len(order)``.
     Two neighbours in that order tie when :func:`_tied` says so, and ties
     chain: a run ends only where two neighbours do not tie.  This is the
     one statement of the tie rule; selection and the rank interval both
     read it from here.  Equal scores may come in any order (the sort need
     not be stable), since callers treat each run as a set.
+
+    Given ``m`` below n, only the runs that start below rank m are
+    wanted, and ``order`` may stop where the last of them ends: a
+    partition finds the m-th lowest score x, and when x is finite and the
+    next higher score does not tie with it, the run holding x ends at the
+    scores at most x, so only those are sorted.  Otherwise all n are.
     """
     values = np.asarray(getattr(scores, "values", scores))[1:]
-    order = np.argsort(values)
+    n = values.shape[0]
+    order = None
+    if m is not None and m < n:
+        x = np.partition(values, m - 1)[m - 1]
+        if np.isfinite(x) and not _tied(x, values.min(initial=np.inf, where=values > x)):
+            picked = np.flatnonzero(values <= x)
+            order = picked[np.argsort(values[picked])]
+    if order is None:
+        order = np.argsort(values)
     vals = values[order]
     tied = _tied(vals[1:], vals[:-1])
-    n = values.shape[0]
-    bounds = np.concatenate(([0], np.flatnonzero(~tied) + 1, [n]))
+    bounds = np.concatenate(([0], np.flatnonzero(~tied) + 1, [order.shape[0]]))
     return order + 1, bounds
 
 
@@ -312,7 +330,7 @@ def rank_interval(scores, v: int) -> tuple[int, int]:
     No sort is needed when v's run is just the scores equal to v's: then
     ``start`` counts the lower scores and ``end`` the scores at most v's.
     That holds unless the nearest score on either side ties with v's (or
-    v's score is not finite); only then is the run read off :func:`tie_runs`,
+    v's score is NaN); only then is the run read off :func:`tie_runs`,
     so a chain of near-ties costs one O(n log n) sort.  A ``v`` outside
     1..n raises ValueError.
     """
@@ -344,16 +362,18 @@ def select_smallest(scores: ScoreVector, k: int) -> ConfidenceSet:
     Order is (score, canonical code of the tree rooted at the vertex,
     vertex label): equal-score runs (:func:`tie_runs`) that reach the
     output are re-sorted by rooted-isomorphism class, so label order only
-    ever separates vertices whose rooted views are isomorphic.  No run is
-    code-sorted here: runs that fit entirely, and the run that straddles
-    the k-th rank (whose members compete for the remaining slots), are
-    handed over unsorted and ordered lazily by the ``ConfidenceSet``.
+    ever separates vertices whose rooted views are isomorphic.  Only the
+    runs reaching below rank min(k, n) are read, so for k well below n
+    tie_runs sorts just those scores.  No run is code-sorted here: runs
+    that fit entirely, and the run that straddles the k-th rank (whose
+    members compete for the remaining slots), are handed over unsorted and
+    ordered lazily by the ``ConfidenceSet``.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     shape = scores.shape
     m = min(k, shape.n)
-    order, bounds = tie_runs(scores)
+    order, bounds = tie_runs(scores, m)
     # runs [0, full) fit wholly; run ``full`` straddles rank m if it starts below m
     full = int(np.searchsorted(bounds, m, side="right")) - 1
     edge = int(bounds[full])

@@ -6,7 +6,11 @@ Two views of a tree on vertices 1..n:
   attachment process, stored as a parent array with ``parent[i] < i``.
 * :class:`ShapeTree` — an unlabeled observed tree; labels 1..n are opaque.
   Adjacency is stored CSR-style in two flat arrays so traversals stay
-  iterative and survive path graphs of a million vertices.
+  iterative and survive path graphs of a million vertices.  Every shape
+  (:func:`build_shape`, :func:`shape_of_growth`, :func:`forget_labels`)
+  is made by ``_csr_from_endpoints`` from both directions of each edge:
+  one sort of packed (source, slot) keys, so a vertex's neighbours keep
+  the order their edges were given in.
 
 All structures are immutable after construction and safe to share across
 worker processes.  A tree oriented away from a root is a
@@ -234,16 +238,27 @@ class LevelWalk:
 
 
 def _csr_from_endpoints(src: np.ndarray, dst: np.ndarray, n: int) -> ShapeTree:
-    """Build CSR adjacency from directed endpoint arrays (both directions given)."""
+    """Build CSR adjacency from directed endpoint arrays (both directions given).
+
+    The slots are ordered by a stable sort on ``src``: one sort of the
+    int64 keys ``src << shift | slot``, whose low bits hold each slot's
+    index, so no two keys are equal and the sorted keys give the stable
+    order back in their low bits.  That is several times faster than
+    numpy's stable sort of int64 keys.  Keys that would pass 63 bits
+    (n >= 2**31) take the stable sort instead.
+    """
     deg = np.bincount(src, minlength=n + 1)
     xadj = np.zeros(n + 2, dtype=np.int64)
     np.cumsum(deg[1:], out=xadj[2:])
-    # stable sort by source, least significant 16 bits first: numpy radix-sorts
-    # 16-bit keys, several times faster than its stable sort of int64
-    order = np.argsort(src.astype(np.uint16), kind="stable")
-    for shift in range(16, n.bit_length(), 16):
-        order = order[np.argsort((src[order] >> shift).astype(np.uint16), kind="stable")]
-    return ShapeTree(xadj=xadj, adjncy=dst[order])
+    slots = src.shape[0]
+    shift = (slots - 1).bit_length()
+    if n.bit_length() + shift > 63:
+        return ShapeTree(xadj=xadj, adjncy=dst[np.argsort(src, kind="stable")])
+    keys = src << shift
+    keys |= np.arange(slots)
+    keys.sort()
+    keys &= (1 << shift) - 1
+    return ShapeTree(xadj=xadj, adjncy=dst[keys])
 
 
 def build_shape(edges: Iterable[tuple[int, int]] | np.ndarray) -> ShapeTree:
@@ -376,7 +391,9 @@ def _level_walk(shape: ShapeTree, root: int) -> LevelWalk:
     """Level-synchronous BFS from ``root`` with subtree sizes.
 
     Each level's CSR slices are gathered at once (``np.repeat`` over
-    ``xadj``), so the order is the list walk's: level by level, each
+    ``xadj``) and each vertex's parent is dropped from them by
+    ``ndarray.compress``, several times faster than a boolean-mask index
+    on numpy 2.4, so the order is the list walk's: level by level, each
     vertex's children in adjacency order.  Once more than ``_NARROW``
     levels have been narrower than ``_NARROW``, the tree is deep and
     numpy's per-level cost would outweigh a loop, so the list walk starts
@@ -411,10 +428,10 @@ def _level_walk(shape: ShapeTree, root: int) -> LevelWalk:
         slots = np.arange(total) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
         nb = adjncy[slots]
         keep = nb != parent[owner]
-        nxt = nb[keep]
+        nxt = nb.compress(keep)
         e = b + nxt.shape[0]
         order[b:e] = nxt
-        parent[nxt] = owner[keep]
+        parent[nxt] = owner.compress(keep)
         bounds.append(b)
         a, b = b, e
     order = order[:b]

@@ -177,11 +177,33 @@ def test_experiment_jobs_env_fallback(capsys, monkeypatch):
     assert "jobs=2" in err
 
 
-def test_bad_jobs_env_rejected(monkeypatch):
+def test_bad_jobs_env_rejected(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("ROOTFINDER_JOBS", "many")
-    with pytest.raises(SystemExit):
-        main(["experiment", "--model", "ua", "--estimator", "psi",
-              "--n", "10", "--k", "1", "--trials", "2"])
+    grid = tmp_path / "grid.txt"
+    grid.write_text("model = ua\nestimator = psi\nn = 10\nk = 1\ntrials = 2\n")
+    for argv in (
+        ["experiment", "--model", "ua", "--estimator", "psi", "--n", "10", "--k", "1", "--trials", "2"],
+        ["sweep", "--config", str(grid)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ROOTFINDER_JOBS must be an integer")
+        # an explicit --jobs needs no environment
+        code, out, _ = run_cli(capsys, *argv, "--jobs", "1")
+        assert code == 0 and out.startswith("model,")
+
+
+def test_bad_jobs_env_leaves_other_commands_alone(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("ROOTFINDER_JOBS", "many")
+    path = tmp_path / "path5.txt"
+    path.write_text(PATH5)
+    code, out, _ = run_cli(capsys, "score", "--estimator", "psi", "--in", str(path))
+    assert code == 0
+    assert json.loads(out)["vertices"] == [3]
+    code, out, _ = run_cli(capsys, "generate", "--model", "ua", "--n", "5", "--seed", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "5"
 
 
 def test_experiment_quadratic_cap_is_enforced(capsys):

@@ -45,6 +45,7 @@ from rootfinder.estimators import (
     ESTIMATOR_TAGS,
     TIE_RTOL,
     ScoreVector,
+    _tied,
     rank_interval,
     tie_runs,
 )
@@ -445,6 +446,98 @@ def test_rank_interval_follows_a_long_chain_of_near_ties():
         assert rank_interval(values, v) == (0, n)
     assert time.perf_counter() - begun < 1.0
     assert tie_runs(values)[1].tolist() == [0, n]
+
+
+@pytest.mark.filterwarnings("error")
+def test_infinite_scores_tie_only_with_equal_infinities():
+    values = np.array([np.inf, 1.0, 5.0, np.inf, np.inf])
+    order, bounds = tie_runs(values)
+    assert order[:2].tolist() == [1, 2]
+    assert bounds.tolist() == [0, 1, 2, 4]
+    assert [rank_interval(values, v) for v in (1, 2, 3, 4)] == [(0, 1), (1, 2), (2, 4), (2, 4)]
+    assert _tied(np.inf, np.inf) and _tied(-np.inf, -np.inf)
+    assert not _tied(5.0, np.inf) and not _tied(-np.inf, np.inf) and not _tied(1e300, np.inf)
+    assert not _tied(np.nan, np.nan)
+    cs = select_smallest(ScoreVector("phi", PATH5, [np.inf, *values[1:], 7.0]), 3)
+    assert cs.vertices[:2] == (1, 2) and len(cs) == 3
+
+
+def select_by_full_sort(sv, k, monkeypatch):
+    """select_smallest with tie_runs made to sort all n scores."""
+    real = tie_runs
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "tie_runs", lambda scores, m=None: real(scores))
+        return select_smallest(sv, k)
+
+
+def assert_selects_as_full_sort(sv, k, monkeypatch):
+    got, want = select_smallest(sv, k), select_by_full_sort(sv, k, monkeypatch)
+    assert len(got) == len(want) == min(k, sv.shape.n)
+    assert got.vertices == want.vertices
+
+
+def sorted_prefix(sv, k):
+    """How many scores tie_runs sorts for selection at k."""
+    return tie_runs(sv, min(k, sv.shape.n))[0].shape[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_partition_first_selection_matches_full_sort_on_integer_ties(seed, monkeypatch):
+    shape, _ = random_shape(300, seed)
+    gen = np.random.default_rng(seed)
+    values = np.concatenate([[np.inf], gen.integers(0, 25, 300).astype(float)])
+    sv = ScoreVector("psi", shape, values)
+    for k in (1, 7, 12, 40, 150):
+        x = np.sort(values[1:])[k - 1]
+        # the run straddling rank k is cut off at the scores equal to x
+        assert sorted_prefix(sv, k) == np.count_nonzero(values <= x)
+        assert_selects_as_full_sort(sv, k, monkeypatch)
+    pa_shape, _ = random_shape(1000, seed, model=PA)
+    for k in (10, 50, 200):
+        assert_selects_as_full_sort(psi_scores(pa_shape), k, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_partition_first_selection_matches_full_sort_across_a_chain_of_near_ties(seed, monkeypatch):
+    # 20 scores each within 0.6 TIE_RTOL of the next form one run; the
+    # others are far apart.  The run crosses rank k, ends just below it,
+    # or starts just above it.
+    n, k, length = 200, 30, 20
+    shape, _ = random_shape(n, seed)
+    gen = np.random.default_rng(100 + seed)
+    for first in (k - 10, k - length, k):
+        scores = 10.0 * np.arange(n, dtype=float)
+        scores[first : first + length] = scores[first] * np.cumprod(
+            np.full(length, 1.0 + 0.6 * TIE_RTOL)
+        )
+        sv = ScoreVector("phi", shape, np.concatenate([[np.inf], gen.permutation(scores)]))
+        assert tie_runs(sv)[1].tolist().count(first) == 1
+        crosses = first < k < first + length
+        assert sorted_prefix(sv, k) == (n if crosses else k)
+        assert_selects_as_full_sort(sv, k, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_partition_first_selection_at_the_extremes(seed, monkeypatch):
+    n = 60
+    shape, _ = random_shape(n, seed)
+    gen = np.random.default_rng(200 + seed)
+    values = np.concatenate([[np.inf], gen.integers(0, 8, n).astype(float)])
+    values[gen.choice(np.arange(1, n + 1), 5, replace=False)] = np.inf
+    sv = ScoreVector("psi", shape, values)
+    for k in (1, 2, n - 6, n - 5, n - 3, n, n + 1, 10 * n):
+        cs = select_smallest(sv, k)
+        assert 0 not in cs and 0 not in cs.vertices
+        assert_selects_as_full_sort(sv, k, monkeypatch)
+    # the m-th score at +inf leaves no prefix to cut: all n are sorted
+    assert sorted_prefix(sv, n - 3) == n
+    assert set(select_smallest(sv, n).vertices) == set(range(1, n + 1))
+    # nor does a NaN, which sorts after +inf
+    values = values.copy()
+    values[gen.choice(np.flatnonzero(values[1:] == np.inf) + 1, 2, replace=False)] = np.nan
+    sv = ScoreVector("psi", shape, values)
+    assert sorted_prefix(sv, n - 1) == n
+    assert_selects_as_full_sort(sv, n - 1, monkeypatch)
 
 
 @pytest.mark.parametrize("v", [0, 41, -1])

@@ -41,6 +41,7 @@ from rootfinder import (
 )
 
 from rootfinder.estimators import score_growth
+from rootfinder.trees import _csr_from_endpoints, label_permutation
 
 from helpers import list_walk, phi_by_list_rerooting
 
@@ -341,6 +342,57 @@ def test_growth_walk_matches_level_walk_of_its_shape(name):
     assert np.array_equal(score_growth(tree, "psi"), psi_scores(shape).values)
     phi = score_growth(tree, "phi")
     np.testing.assert_allclose(phi, phi_scores(shape).values, rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# CSR adjacency
+# ---------------------------------------------------------------------------
+
+
+def csr_reference(src, dst, n):
+    """CSR arrays with the slots in numpy's stable sort of ``src``."""
+    xadj = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n + 1)[1:], out=xadj[2:])
+    return xadj, dst[np.argsort(src, kind="stable")]
+
+
+def growth_endpoints(t, relabel):
+    """Both directions of every edge of ``t``, vertex v renamed relabel[v]."""
+    kids, pars = relabel[np.arange(2, t.n + 1)], relabel[t.parent[2:]]
+    return np.concatenate([kids, pars]), np.concatenate([pars, kids])
+
+
+CSR_TREES = {
+    "ua": lambda n, gen: sample_uniform_attachment(n, gen),
+    "pa": lambda n, gen: sample_preferential_attachment(n, gen),
+    "path": lambda n, gen: GrowthTree.from_attachments(list(range(1, n))),
+    "star": lambda n, gen: GrowthTree.from_attachments([1] * (n - 1)),
+}
+
+
+@pytest.mark.parametrize("n", [2, 50, 5_000, 70_000])  # 70_000 > 2**16
+@pytest.mark.parametrize("name", sorted(CSR_TREES))
+def test_csr_matches_a_stable_argsort_of_the_sources(name, n):
+    gen = RngStream(31, n).generator()
+    t = CSR_TREES[name](n, gen)
+
+    def same(shape, src, dst):
+        xadj, adjncy = csr_reference(src, dst, n)
+        assert np.array_equal(shape.xadj, xadj)
+        assert np.array_equal(shape.adjncy, adjncy)
+
+    same(shape_of_growth(t), *growth_endpoints(t, np.arange(n + 1)))
+    perm = label_permutation(n, gen)
+    shape, _ = forget_labels(t, permutation=perm)
+    src, dst = growth_endpoints(t, np.concatenate([[0], perm]))
+    same(shape, src, dst)
+    # the endpoints of an edge file: edges and their ends in any order
+    shuffle = gen.permutation(src.shape[0])
+    same(_csr_from_endpoints(src[shuffle], dst[shuffle], n), src[shuffle], dst[shuffle])
+    edges = np.stack([src[: n - 1], dst[: n - 1]], axis=1)[gen.permutation(n - 1)]
+    swap = gen.random(n - 1) < 0.5
+    edges[swap] = edges[swap, ::-1]
+    same(build_shape(edges), np.concatenate(edges.T), np.concatenate(edges.T[::-1]))
 
 
 # ---------------------------------------------------------------------------
