@@ -212,7 +212,7 @@ def _exact_score(shape: ShapeTree, degree_correction: bool) -> np.ndarray:
     log_orbit = np.log(orbit[1:].astype(np.float64))
     log_deg = np.log(shape.degrees()[1:].astype(np.float64)) if degree_correction else None
     for u in range(1, n + 1):
-        down = np.array(rooted_lists(shape, u, sizes=True)[2])
+        down = LevelWalk.from_order(u, *rooted_lists(shape, u)).down_size
         total = float(np.sum(np.log(down[1:]))) + float(np.sum(aut_log(shape, u)[1:]))
         values[u] = total + log_orbit[u - 1]
         if degree_correction:

@@ -239,8 +239,7 @@ def run_trials(
     max_exact_n: int = DEFAULT_MAX_EXACT_N,
 ) -> ExperimentResult:
     """Run one cell; identical results for every ``jobs`` value."""
-    _check_cap(config, max_exact_n)
-    return _run_family([config], jobs)[0]
+    return sweep([config], jobs, max_exact_n)[0][1]
 
 
 def root_leaf_frequency(

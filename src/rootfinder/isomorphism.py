@@ -17,8 +17,6 @@ rather than approximated.
 
 from __future__ import annotations
 
-from hashlib import blake2b
-
 import numpy as np
 
 from .errors import TooLargeError
@@ -109,9 +107,9 @@ def aut_log(shape: ShapeTree, root: int) -> np.ndarray:
 def orbit_counts(shape: ShapeTree) -> np.ndarray:
     """For every u, the number of vertices v with (T,v) isomorphic to (T,u).
 
-    Buckets the n rooted codes by a 128-bit digest to keep memory flat;
-    digest equality within a bucket is then verified on the actual codes,
-    so a hash collision degrades to extra work, never to a wrong count.
+    Buckets the n rooted codes by the codes themselves, one code per
+    vertex.  At the cap the codes hold at most 2 * NAIVE_ORBIT_LIMIT**2
+    bytes (50 MB).
     """
     n = shape.n
     if n > NAIVE_ORBIT_LIMIT:
@@ -120,16 +118,8 @@ def orbit_counts(shape: ShapeTree) -> np.ndarray:
         )
     buckets: dict[bytes, list[int]] = {}
     for u in range(1, n + 1):
-        digest = blake2b(canonical_code(shape, u), digest_size=16).digest()
-        buckets.setdefault(digest, []).append(u)
+        buckets.setdefault(canonical_code(shape, u), []).append(u)
     out = np.zeros(n + 1, dtype=np.int64)
     for members in buckets.values():
-        if len(members) == 1:
-            out[members[0]] = 1
-            continue
-        by_code: dict[bytes, list[int]] = {}
-        for u in members:
-            by_code.setdefault(canonical_code(shape, u), []).append(u)
-        for group in by_code.values():
-            out[group] = len(group)
+        out[members] = len(members)
     return out

@@ -33,7 +33,7 @@ from .errors import (
 from .generators import ModelSpec
 from .isomorphism import canonical_code, orbit_counts
 from .rng import as_generator
-from .trees import GrowthTree, ShapeTree, rooted_lists, shape_of_growth
+from .trees import GrowthTree, LevelWalk, ShapeTree, rooted_lists, shape_of_growth
 
 __all__ = [
     "PlaneGrowthTree",
@@ -205,7 +205,7 @@ def _exact_aut(shape: ShapeTree, root: int) -> list[int]:
 
 def _shape_denominator(shape: ShapeTree, root: int) -> int:
     """Product over non-leaves of subtree size times Aut factor (exact)."""
-    down = rooted_lists(shape, root, sizes=True)[2]
+    down = LevelWalk.from_order(root, *rooted_lists(shape, root)).down_size.tolist()
     aut = _exact_aut(shape, root)
     denom = 1
     for v in range(1, shape.n + 1):

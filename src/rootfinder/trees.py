@@ -18,8 +18,9 @@ worker processes.  A tree oriented away from a root is a
 than re-deriving them: ``size(w -> u)``, the component of u once w is
 deleted, is ``subtree_sizes(shape, w).down_size[u]``.
 
-Three walks orient a tree away from a root, each giving a
-:class:`LevelWalk` or plain lists:
+Three walks orient a tree away from a root.  Each only finds an order and
+the parents, and :meth:`LevelWalk.from_order` sums the subtree sizes
+bottom-up, one scatter-add per level or one loop over a topological order:
 
 * the level walk (``_level_walk``) gathers a whole level of a shape's CSR
   adjacency with numpy, in the list walk's BFS order.  It serves the
@@ -36,12 +37,12 @@ Three walks orient a tree away from a root, each giving a
 * the list walk (:func:`rooted_lists`) returns plain lists.  It serves the
   loops that walk a small tree once per candidate root and consume lists
   anyway: ``canonical_code``, ``aut_log``, the exact ``zeta``/``xi``
-  scores and the oracles.  On trees of a few hundred vertices it is about
-  twice as fast as the level walk.
+  scores and the oracles.  On trees of a few hundred vertices it is two to
+  three times as fast as the level walk.
 
 A tree with many narrow levels, such as a path, leaves the two numpy walks
-for a loop over a topological order (BFS order, or label order for a
-growth tree), so deep trees stay linear.
+for a topological order without levels (the list walk's BFS order, or
+label order for a growth tree), so deep trees stay linear.
 """
 
 from __future__ import annotations
@@ -213,6 +214,26 @@ class LevelWalk:
     down_size: np.ndarray
     bounds: tuple | None
 
+    @classmethod
+    def from_order(cls, root: int, order, parent, bounds: tuple | None = None) -> "LevelWalk":
+        """The walk a search found (``order`` and ``parent``, arrays or
+        lists), with the one bottom-up subtree-size pass behind every walk:
+        a scatter-add per level, deepest first, or without ``bounds`` a loop
+        over ``order`` reversed.  Unreached vertices keep size 1."""
+        if bounds is None:
+            down = [1] * len(parent)
+            par = parent.tolist() if isinstance(parent, np.ndarray) else parent
+            seq = order.tolist() if isinstance(order, np.ndarray) else order
+            for v in reversed(seq):
+                down[par[v]] += down[v]
+        else:
+            down = np.ones(len(parent), dtype=np.int64)
+            for a, b in zip(reversed(bounds[:-1]), reversed(bounds[1:])):
+                level = order[a:b]
+                np.add.at(down, parent[level], down[level])
+        down[0] = 0  # the root's parent is slot 0, which took the root's size
+        return cls(root, *map(_frozen, (order, parent, down)), bounds=bounds)
+
     def descend(self, first: float, step: np.ndarray) -> np.ndarray:
         """Sums down the tree: ``values[root] = first`` and
         ``values[v] = values[parent[v]] + step[v]``, one float add per
@@ -351,12 +372,12 @@ def forget_labels(t: GrowthTree, rng=None, permutation=None):
 # ---------------------------------------------------------------------------
 
 
-def rooted_lists(shape: ShapeTree, root: int, sizes: bool = False):
-    """The list walk: BFS from ``root`` as ``(order, parent)`` plain lists,
-    with ``down_size`` as a third list when ``sizes`` is set.
+def rooted_lists(shape: ShapeTree, root: int):
+    """The list walk: BFS from ``root`` as ``(order, parent)`` plain lists.
 
-    parent[root] is 0 and down_size[0] is 0.  Only the component containing
-    root is visited.  For loops that walk a small tree once per root.
+    parent[root] is 0.  Only the component containing root is visited.  For
+    loops that walk a small tree once per root; ``LevelWalk.from_order``
+    adds the subtree sizes.
     """
     n = shape.n
     if not (1 <= root <= n):
@@ -377,18 +398,11 @@ def rooted_lists(shape: ShapeTree, root: int, sizes: bool = False):
                 seen[v] = 1
                 parent[v] = u
                 order.append(v)
-    if not sizes:
-        return order, parent
-    down = [1] * (n + 1)
-    down[0] = 0
-    for i in range(len(order) - 1, 0, -1):
-        v = order[i]
-        down[parent[v]] += down[v]
-    return order, parent, down
+    return order, parent
 
 
 def _level_walk(shape: ShapeTree, root: int) -> LevelWalk:
-    """Level-synchronous BFS from ``root`` with subtree sizes.
+    """Level-synchronous BFS from ``root``.
 
     Each level's CSR slices are gathered at once (``np.repeat`` over
     ``xadj``) and each vertex's parent is dropped from them by
@@ -414,8 +428,7 @@ def _level_walk(shape: ShapeTree, root: int) -> LevelWalk:
         if b - a < _NARROW:
             narrow += 1
             if narrow > _NARROW:
-                lists = rooted_lists(shape, root, sizes=True)
-                return LevelWalk(root, *map(_frozen, lists), bounds=None)
+                return LevelWalk.from_order(root, *rooted_lists(shape, root))
         level = order[a:b]
         starts = xadj[level]
         counts = xadj[level + 1] - starts
@@ -434,30 +447,18 @@ def _level_walk(shape: ShapeTree, root: int) -> LevelWalk:
         parent[nxt] = owner.compress(keep)
         bounds.append(b)
         a, b = b, e
-    order = order[:b]
-    down = np.ones(n + 1, dtype=np.int64)
-    for a, b in zip(reversed(bounds[1:-1]), reversed(bounds[2:])):
-        # a level's children of one parent are adjacent: sum them per parent
-        level = order[a:b]
-        above = parent[level]
-        first = np.flatnonzero(above[1:] != above[:-1]) + 1
-        first = np.concatenate(([0], first))
-        down[above[first]] += np.add.reduceat(down[level], first)
-    down[0] = 0
-    return LevelWalk(root, *map(_frozen, (order, parent, down)), bounds=tuple(bounds))
+    return LevelWalk.from_order(root, order[:b], parent, tuple(bounds))
 
 
 def _growth_walk(parent: np.ndarray) -> LevelWalk:
-    """Levels and subtree sizes of a growth tree from vertex 1.
+    """The levels of a growth tree from vertex 1.
 
     ``parent[i] < i``, so no search is needed.  Each vertex's depth comes
     from pointer jumping (a vertex and the ancestor it points at add their
-    distances, then it points at that ancestor's ancestor), the levels
-    from a stable sort of the depths as 16-bit keys, and the subtree sizes
-    from one scatter-add per level, deepest first.  A tree with more than
-    ``_NARROW`` levels narrower than ``_NARROW`` (or more levels than the
-    keys hold) is summed in a loop over labels from n down, label order
-    being a topological order.
+    distances, then it points at that ancestor's ancestor), and the levels
+    from a stable sort of the depths as 16-bit keys.  A tree with more
+    than ``_NARROW`` levels narrower than ``_NARROW`` (or more levels than
+    the keys hold) gets label order instead, which is a topological order.
     """
     n = parent.shape[0] - 1
     par = parent.copy()
@@ -470,20 +471,11 @@ def _growth_walk(parent: np.ndarray) -> LevelWalk:
         depth += depth[up]
         up = up[up]
     width = np.bincount(depth[1:])
-    down = np.ones(n + 1, dtype=np.int64)
-    down[0] = 0
     if width.shape[0] > 2**16 or np.count_nonzero(width < _NARROW) > _NARROW:
-        acc, p = down.tolist(), par.tolist()
-        for v in range(n, 1, -1):
-            acc[p[v]] += acc[v]
-        order = np.arange(1, n + 1)
-        return LevelWalk(1, *map(_frozen, (order, par, acc)), bounds=None)
+        return LevelWalk.from_order(1, np.arange(1, n + 1), par)
     order = np.argsort(depth[1:].astype(np.uint16), kind="stable") + 1
-    bounds = [0, *np.cumsum(width).tolist()]
-    for a, b in zip(reversed(bounds[1:-1]), reversed(bounds[2:])):
-        level = order[a:b]
-        np.add.at(down, par[level], down[level])
-    return LevelWalk(1, *map(_frozen, (order, par, down)), bounds=tuple(bounds))
+    bounds = (0, *np.cumsum(width).tolist())
+    return LevelWalk.from_order(1, order, par, bounds)
 
 
 def _frozen(values) -> np.ndarray:

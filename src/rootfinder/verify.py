@@ -246,16 +246,26 @@ SUITES = {
     "product-tail": product_tail_suite,
 }
 
+# the smallest n_max that gives a suite something to check: trees have at
+# least 2 vertices, partition counts start at s = 1
+_MIN_N_MAX = {"counting": 2, "plane-counting": 2, "posterior": 2, "partitions": 1}
+
 
 def run_suite(name: str, n_max: int | None = None, trials: int = 100_000,
               seed: int = DEFAULT_SEED) -> list[CheckLine]:
     """Run one named suite with the applicable subset of the knobs: the
     sampled suites take ``trials`` and ``seed``, the others ``n_max`` when
-    it is given (each suite keeps its own default)."""
+    it is given (each suite keeps its own default).  An ``n_max`` below a
+    suite's smallest size raises ValueError, since the suite would check
+    nothing."""
     try:
         suite = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}") from None
     if name in ("gamma", "product-tail"):
         return suite(trials=trials, seed=seed)
-    return suite() if n_max is None else suite(n_max)
+    if n_max is None:
+        return suite()
+    if n_max < _MIN_N_MAX[name]:
+        raise ValueError(f"suite {name!r} needs n_max >= {_MIN_N_MAX[name]}, got {n_max}")
+    return suite(n_max)

@@ -259,6 +259,28 @@ def test_verify_partitions_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize(
+    "suite, n_max",
+    [("counting", "1"), ("counting", "-4"), ("plane-counting", "1"),
+     ("posterior", "1"), ("partitions", "0")],
+)
+def test_verify_below_smallest_size_is_an_error(capsys, suite, n_max):
+    # such a run would check nothing (or, for posterior, PA above n_max)
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", n_max)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "n_max" in err
+
+
+@pytest.mark.parametrize("suite, n_max", [("counting", "2"), ("posterior", "2"), ("partitions", "1")])
+def test_verify_at_smallest_size_checks_something(capsys, suite, n_max):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n-max", n_max)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines and all(": PASS — " in line for line in lines)
+    assert not any(f"n={int(n_max) + 1}" in line for line in lines)
+
+
 def test_verify_failure_maps_to_exit_1(capsys, monkeypatch):
     fake = [CheckLine(name="stub", passed=False, detail="forced")]
     monkeypatch.setattr("rootfinder.cli.run_suite", lambda *a, **k: fake)

@@ -23,6 +23,7 @@ import pytest
 from helpers import distinct_shapes
 
 from rootfinder import (
+    GrowthTree,
     ModelSpec,
     RngStream,
     TooLargeError,
@@ -294,6 +295,39 @@ def test_select_ties_ordered_by_rooted_class_then_label():
     got = select_smallest(psi_scores(path4), 4).vertices
     assert got in ((2, 3, 1, 4), (3, 2, 1, 4))  # ends last, label order within
     assert got == (2, 3, 1, 4)
+
+
+def relabelled_path(p, leaf_on=None, seed=0):
+    """A path 1..p (plus a leaf p+1 on vertex ``leaf_on``) under a random
+    relabelling, with the map from old labels to new ones (slot 0 unused)."""
+    parents = list(range(1, p)) + ([leaf_on] if leaf_on else [])
+    tree = GrowthTree.from_attachments(parents)
+    perm = np.random.default_rng(seed).permutation(np.arange(1, tree.n + 1))
+    shape, _ = forget_labels(tree, permutation=perm)
+    return shape, np.concatenate(([0], perm))
+
+
+# one side of estimators._EXACT_CODE_LIMIT compares full codes, the other digests
+@pytest.mark.parametrize("p", [9001, 10001])
+def test_tie_between_shapes_is_broken_the_same_under_any_labels(p):
+    # the two middle path vertices have psi (p + 1) / 2 and differ in shape
+    picked = set()
+    for seed in range(3):
+        shape, relabel = relabelled_path(p, leaf_on=3, seed=seed)
+        sv = psi_scores(shape)
+        middle = {int(relabel[(p - 1) // 2]), int(relabel[(p + 1) // 2])}
+        assert set(np.flatnonzero(sv.values == sv.values.min()).tolist()) == middle
+        (v,) = select_smallest(sv, 1).vertices
+        picked.add(int(np.flatnonzero(relabel == v)[0]))
+    assert len(picked) == 1
+
+
+@pytest.mark.parametrize("p", [9002, 10002])
+def test_tie_within_an_orbit_goes_to_the_lower_label(p):
+    for seed in range(3):
+        shape, relabel = relabelled_path(p, seed=seed)
+        centroids = (int(relabel[p // 2]), int(relabel[p // 2 + 1]))
+        assert select_smallest(psi_scores(shape), 1).vertices == (min(centroids),)
 
 
 def test_select_deterministic_across_calls():
