@@ -10,19 +10,20 @@ Four per-vertex scores, all oriented so that lower means more root-like:
 * xi   — the preferential-attachment analogue: zeta with the candidate's
          degree divided out.
 
-psi and phi run in O(n) and are the at-scale estimators.  Each is written
-once, as a function of a walk from vertex 1 (a :class:`LevelWalk`): a
-shape's :attr:`ShapeTree.walk_from_1` for :func:`psi_scores` and
+All four run in O(n).  psi and phi are each written once, as a function
+of a walk from vertex 1 (a :class:`LevelWalk`): a shape's
+:attr:`ShapeTree.walk_from_1` for :func:`psi_scores` and
 :func:`phi_scores`, a growth tree's own :attr:`GrowthTree.walk` for
 :func:`score_growth`, which scores a sampled tree on its growth labels.
-zeta and xi re-evaluate automorphism factors per candidate root (O(n^2)
-worst case) and are capped at moderate n; they are exact-likelihood
-tools, not bulk ones.  Multiplicative scores live in natural-log domain
-throughout.
+zeta is phi plus log n plus log |Aut(T)|, one automorphism pass at a
+centroid, and xi subtracts log-degree; both stay capped at
+NAIVE_ORBIT_LIMIT vertices.  Multiplicative scores live in natural-log
+domain throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from hashlib import blake2b
 
@@ -30,8 +31,8 @@ import numpy as np
 
 from .errors import TooLargeError
 from .generators import ModelSpec
-from .isomorphism import NAIVE_ORBIT_LIMIT, aut_log, canonical_code, orbit_counts
-from .trees import GrowthTree, LevelWalk, ShapeTree, rooted_lists, shape_of_growth
+from .isomorphism import NAIVE_ORBIT_LIMIT, aut_log, canonical_code
+from .trees import GrowthTree, LevelWalk, ShapeTree, shape_of_growth
 
 __all__ = [
     "ScoreVector",
@@ -200,31 +201,50 @@ def phi_scores(shape: ShapeTree) -> ScoreVector:
     return ScoreVector("phi", shape, _phi_values(shape.walk_from_1, shape.n))
 
 
+def _log_aut(shape: ShapeTree, walk: LevelWalk) -> float:
+    """log |Aut(T)|, the order of the unrooted tree's automorphism group.
+
+    Every automorphism fixes the set of centroids (the vertices of least
+    psi), one vertex or two adjacent ones.  So |Aut(T)| is the rooted group
+    at a centroid c, one :func:`aut_log` pass, doubled when the other
+    centroid's rooted view is isomorphic to c's, for then an automorphism
+    swaps the two.
+    """
+    psi = _psi_values(walk, shape.n)
+    centroids = np.flatnonzero(psi == psi.min()).tolist()
+    c = centroids[0]
+    total = float(np.sum(aut_log(shape, c)[1:]))
+    if len(centroids) == 2 and canonical_code(shape, c) == canonical_code(shape, centroids[1]):
+        total += math.log(2)
+    return total
+
+
 def _exact_score(shape: ShapeTree, degree_correction: bool) -> np.ndarray:
-    """Shared zeta/xi evaluation: per-root subtree-size and Aut products."""
+    """Shared zeta/xi evaluation in O(n): zeta = phi + log n + log |Aut(T)|.
+
+    Rooted at u, the defining sum is phi(u) + log n (the root's own subtree
+    size) plus log |Aut(T, u)|, and the orbit-stabilizer identity
+    |Aut(T)| = orbit(u) |Aut(T, u)| folds in the orbit count, so zeta is
+    phi plus one constant per tree; xi divides out the degree.
+    """
     n = shape.n
     if n > NAIVE_ORBIT_LIMIT:
         raise TooLargeError(
             f"exact-likelihood scores are capped at n={NAIVE_ORBIT_LIMIT} (got n={n})"
         )
-    orbit = orbit_counts(shape)
-    values = np.full(n + 1, np.inf)
-    log_orbit = np.log(orbit[1:].astype(np.float64))
-    log_deg = np.log(shape.degrees()[1:].astype(np.float64)) if degree_correction else None
-    for u in range(1, n + 1):
-        down = LevelWalk.from_order(u, *rooted_lists(shape, u)).down_size
-        total = float(np.sum(np.log(down[1:]))) + float(np.sum(aut_log(shape, u)[1:]))
-        values[u] = total + log_orbit[u - 1]
-        if degree_correction:
-            values[u] -= log_deg[u - 1]
+    walk = shape.walk_from_1
+    values = _phi_values(walk, n) + (math.log(n) + _log_aut(shape, walk))
+    if degree_correction:
+        values[1:] -= np.log(shape.degrees()[1:])
     return values
 
 
 def zeta_scores(shape: ShapeTree) -> ScoreVector:
-    """log zeta(u): orbit count times product over v of size(v) * Aut(v).
+    """log zeta(u): orbit count times product over v of size(v) * Aut(v),
+    with the tree rooted at u.
 
     The defining product runs over non-leaves; leaves contribute log 1
-    twice, so the implementation sums over all vertices.
+    twice.  It equals n |Aut(T)| phi(u), which is how it is computed.
     """
     return ScoreVector(estimator="zeta", shape=shape, values=_exact_score(shape, False))
 

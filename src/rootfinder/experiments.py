@@ -28,7 +28,6 @@ import io
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -59,8 +58,8 @@ __all__ = [
     "DEFAULT_MAX_EXACT_N",
 ]
 
-# zeta/xi re-derive automorphism factors per candidate root (quadratic);
-# refuse big cells unless the caller raises the cap explicitly
+# zeta/xi cells above this are refused unless the caller raises the cap
+# explicitly
 DEFAULT_MAX_EXACT_N = 2000
 
 _Z95 = 1.959963984540054
@@ -196,6 +195,15 @@ def _chunks(trials: int, jobs: int) -> list[tuple[int, int]]:
     return [(s, min(s + size, trials)) for s in range(0, trials, size)]
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """``concurrent.futures.ProcessPoolExecutor``, imported only when a pool
+    starts: the import loads ``multiprocessing``, which a ``jobs=1`` run
+    never needs."""
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+
+    return pool_class(max_workers=max_workers)
+
+
 def _map_trials(trial_fn, trials: int, jobs: int) -> np.ndarray:
     """``trial_fn(t)`` for t in 0..trials-1 as a bool array, one row per trial.
 
@@ -215,7 +223,7 @@ def _map_trials(trial_fn, trials: int, jobs: int) -> np.ndarray:
 def _check_cap(config: ExperimentConfig, max_exact_n: int) -> None:
     if config.estimator in ("zeta", "xi") and config.n > max_exact_n:
         raise TooLargeError(
-            f"estimator {config.estimator!r} is quadratic; n={config.n} exceeds the "
+            f"exact-likelihood estimator {config.estimator!r}: n={config.n} exceeds the "
             f"default cap {max_exact_n} (raise max_exact_n / --max-exact-n to override)"
         )
 

@@ -9,10 +9,10 @@ The automorphism factor Aut(v) of a vertex v in a rooted tree is the
 product of factorials of the multiplicities of isomorphic child subtrees
 at v; the orbit count of u is the number of vertices whose rooted view of
 the whole tree is isomorphic to u's, and :func:`orbit_counts` gives it for
-every u at once.  Both quantities feed the exact
-likelihood scores, so orbit computation is deliberately the naive
-all-roots method (n codes, O(n^2) worst case) and is capped at moderate n
-rather than approximated.
+every u at once.  The exact likelihood scores need only one :func:`aut_log`
+pass; :func:`orbit_counts` serves the exact oracles, so it is deliberately
+the naive all-roots method (n codes, O(n^2) worst case) and is capped at
+moderate n rather than approximated.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ __all__ = [
     "NAIVE_ORBIT_LIMIT",
 ]
 
-# all-roots orbit/likelihood computations stay exact and naive below this
+# cap on the naive all-roots orbit_counts, and on n for zeta/xi scores
 NAIVE_ORBIT_LIMIT = 5000
 
 _logfact = np.zeros(1)

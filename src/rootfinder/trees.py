@@ -34,11 +34,11 @@ bottom-up, one scatter-add per level or one loop over a topological order:
   Carlo trials score each sampled tree on it (:attr:`GrowthTree.walk`)
   before, and mostly instead of, relabelling it.  Its levels hold the
   level walk's vertex sets, in label order within a level.
-* the list walk (:func:`rooted_lists`) returns plain lists.  It serves the
-  loops that walk a small tree once per candidate root and consume lists
-  anyway: ``canonical_code``, ``aut_log``, the exact ``zeta``/``xi``
-  scores and the oracles.  On trees of a few hundred vertices it is two to
-  three times as fast as the level walk.
+* the list walk (:func:`rooted_lists`) returns plain lists.  It serves
+  the code that consumes lists anyway: ``canonical_code`` and ``aut_log``,
+  and the oracles, which walk a small tree once per candidate root.  On
+  trees of a few hundred vertices it is two to three times as fast as the
+  level walk.
 
 A tree with many narrow levels, such as a path, leaves the two numpy walks
 for a topological order without levels (the list walk's BFS order, or
@@ -376,8 +376,8 @@ def rooted_lists(shape: ShapeTree, root: int):
     """The list walk: BFS from ``root`` as ``(order, parent)`` plain lists.
 
     parent[root] is 0.  Only the component containing root is visited.  For
-    loops that walk a small tree once per root; ``LevelWalk.from_order``
-    adds the subtree sizes.
+    code that consumes lists, such as the oracles' loops over every root;
+    ``LevelWalk.from_order`` adds the subtree sizes.
     """
     n = shape.n
     if not (1 <= root <= n):

@@ -187,16 +187,17 @@ def partitions_suite(s_max: int = 500) -> list[CheckLine]:
             detail=f"violations={violations} worst-ratio={worst:.3e}",
         )
     ]
-    increasing = all(
-        partition_count(s) <= partition_count(s + 1) for s in range(1, s_max)
-    )
-    lines.append(
-        CheckLine(
-            name="partition monotonicity",
-            passed=increasing,
-            detail=f"p(s) non-decreasing on 1..{s_max}",
+    if s_max >= 2:  # monotonicity needs a pair to compare
+        increasing = all(
+            partition_count(s) <= partition_count(s + 1) for s in range(1, s_max)
         )
-    )
+        lines.append(
+            CheckLine(
+                name="partition monotonicity",
+                passed=increasing,
+                detail=f"p(s) non-decreasing on 1..{s_max}",
+            )
+        )
     return lines
 
 

@@ -1,16 +1,19 @@
 """Brute-force oracles shared across test modules.
 
-Everything here is exponential-time and intended for n <= 6 (permutation
-searches) or small enumerations; tests use these as independent routes to
-the same quantities the library computes cleverly.
+Permutation searches and enumerations are exponential-time and intended
+for n <= 6; the list walks and the per-root scores are slow, plain
+recomputations.  Tests use these as independent routes to the same
+quantities the library computes cleverly.
 """
 
+import math
 from itertools import permutations
 
 import numpy as np
 
-from rootfinder import canonical_code, shape_of_growth
+from rootfinder import aut_log, canonical_code, orbit_counts, shape_of_growth
 from rootfinder.oracle import enumerate_recursive
+from rootfinder.trees import LevelWalk, rooted_lists
 
 
 def edge_set(shape):
@@ -114,3 +117,22 @@ def pa_by_endpoint_list(n, gen):
         endpoints.append(j)
         endpoints.append(i)
     return parent
+
+
+def exact_score_by_roots(shape, degree_correction=False):
+    """log zeta (log xi with ``degree_correction``) for every vertex by the
+    defining formula, one rooting per candidate u: the sum of log subtree
+    sizes, the sum of log Aut factors and log of u's orbit count, less log
+    deg(u) for xi (slot 0 is +inf).  Quadratic; the slow check on the
+    library's phi-plus-constant evaluation."""
+    n = shape.n
+    orbit = orbit_counts(shape).tolist()
+    degree = shape.degrees().tolist()
+    values = np.full(n + 1, np.inf)
+    for u in range(1, n + 1):
+        down = LevelWalk.from_order(u, *rooted_lists(shape, u)).down_size
+        total = float(np.sum(np.log(down[1:]))) + float(np.sum(aut_log(shape, u)[1:]))
+        values[u] = total + math.log(orbit[u])
+        if degree_correction:
+            values[u] -= math.log(degree[u])
+    return values

@@ -281,6 +281,15 @@ def test_verify_at_smallest_size_checks_something(capsys, suite, n_max):
     assert not any(f"n={int(n_max) + 1}" in line for line in lines)
 
 
+def test_verify_partitions_at_one_prints_no_monotonicity_line(capsys):
+    # p(s) on 1..1 has no pair to compare, so no line may claim a PASS for it
+    code, out, _ = run_cli(capsys, "verify", "--suite", "partitions", "--n-max", "1")
+    assert code == 0
+    assert "monotonicity" not in out
+    code, out, _ = run_cli(capsys, "verify", "--suite", "partitions", "--n-max", "2")
+    assert "partition monotonicity: PASS" in out
+
+
 def test_verify_failure_maps_to_exit_1(capsys, monkeypatch):
     fake = [CheckLine(name="stub", passed=False, detail="forced")]
     monkeypatch.setattr("rootfinder.cli.run_suite", lambda *a, **k: fake)

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import distinct_shapes
+from helpers import distinct_shapes, exact_score_by_roots
 
 from rootfinder import (
     GrowthTree,
@@ -172,6 +172,66 @@ def test_zeta_is_phi_plus_constant():
         shape, _ = random_shape(150, stream)
         gap = zeta_scores(shape).values[1:] - phi_scores(shape).values[1:]
         assert float(np.ptp(gap)) < 1e-8
+
+
+def _joined(left, right):
+    """Two edge lists on 1..a and 1..b joined by an edge between their
+    vertex 1s; the right half is relabelled a+1..a+b."""
+    a = max(max(e) for e in left)
+    edges = list(left) + [(u + a, v + a) for u, v in right]
+    return build_shape(edges + [(1, a + 1)])
+
+
+def _perfect_binary(depth):
+    return [(v // 2, v) for v in range(2, 2 ** (depth + 1))]
+
+
+_STAR8 = [(1, k) for k in range(2, 9)]
+_PATH8 = [(k, k + 1) for k in range(1, 8)]
+_SYMMETRY_CASES = {
+    "n=2": build_shape([(1, 2)]),
+    "path4": build_shape([(1, 2), (2, 3), (3, 4)]),
+    "path7": build_shape([(k, k + 1) for k in range(1, 7)]),
+    "star6": build_shape([(1, k) for k in range(2, 7)]),
+    # two centroids, swapped by an automorphism
+    "double-star-equal": _joined([(1, 2), (1, 3), (1, 4)], [(1, 2), (1, 3), (1, 4)]),
+    "double-star-unequal": _joined([(1, 2), (1, 3), (1, 4)], [(1, 2), (1, 3)]),
+    "binary15+binary15": _joined(_perfect_binary(3), _perfect_binary(3)),
+    # two centroids, rooted views not isomorphic, so no swap
+    "star8+path8": _joined(_STAR8, _PATH8),
+}
+
+
+def _centroid_count(shape):
+    psi = psi_scores(shape).values
+    return int(np.count_nonzero(psi == psi.min()))
+
+
+def test_symmetry_cases_cover_both_centroid_kinds():
+    counts = {name: _centroid_count(shape) for name, shape in _SYMMETRY_CASES.items()}
+    for name in ("n=2", "path4", "double-star-equal", "binary15+binary15", "star8+path8"):
+        assert counts[name] == 2, name
+    assert counts["path7"] == counts["star6"] == counts["double-star-unequal"] == 1
+
+
+_RANDOM_SYMMETRY_CASES = {
+    f"{model.kind}-n{n}-s{stream}": random_shape(n, 700 + stream, model=model)[0]
+    for model in (UA, PA)
+    for n in (30, 200)
+    for stream in range(3)
+}
+
+
+@pytest.mark.parametrize("name", [*_SYMMETRY_CASES, *_RANDOM_SYMMETRY_CASES])
+def test_zeta_xi_match_per_root_formula(name):
+    # phi plus one log|Aut(T)| against the sum over each rooting, with
+    # the orbit count from n canonical codes
+    shape = {**_SYMMETRY_CASES, **_RANDOM_SYMMETRY_CASES}[name]
+    for score, degree_correction in ((zeta_scores, False), (xi_scores, True)):
+        fast = score(shape).values
+        slow = exact_score_by_roots(shape, degree_correction)
+        assert fast[0] == slow[0] == np.inf
+        assert fast[1:] == pytest.approx(slow[1:], rel=1e-12, abs=0)
 
 
 def test_xi_is_zeta_minus_log_degree():

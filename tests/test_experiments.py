@@ -7,6 +7,10 @@ K-monotonicity must hold trial by trial, not just in the aggregate rate.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -382,6 +386,21 @@ def straddling(family):
         start, end = rank_interval(score_tree(shape, c.estimator), root)
         flags.append(any(start < min(f.k, c.n) < end for f in family))
     return flags
+
+
+def test_process_pool_is_imported_only_when_a_pool_starts():
+    # importing multiprocessing costs every run memory; a jobs=1 run needs none
+    probe = (
+        "import sys, rootfinder\n"
+        "rootfinder.run_trials(rootfinder.ExperimentConfig("
+        "rootfinder.ModelSpec('uniform'), 'phi', 20, 3, trials=2), jobs=1)\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
