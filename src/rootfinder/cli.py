@@ -22,7 +22,6 @@ from pathlib import Path
 from .errors import RootfinderError
 from .estimators import ESTIMATOR_TAGS, score_tree, select_smallest
 from .experiments import (
-    DEFAULT_MAX_EXACT_N,
     ExperimentConfig,
     parse_sweep_grid,
     results_csv,
@@ -138,7 +137,7 @@ def _cmd_experiment(args) -> int:
             "jobs": jobs,
         },
     )
-    result = run_trials(config, jobs=jobs, max_exact_n=args.max_exact_n)
+    result = run_trials(config, jobs=jobs)
     _emit(results_csv([(config, result)]), args.out)
     return 0
 
@@ -151,7 +150,7 @@ def _cmd_sweep(args) -> int:
         "sweep",
         {"config": args.config, "cells": len(configs), "jobs": jobs},
     )
-    rows = sweep(configs, jobs=jobs, max_exact_n=args.max_exact_n)
+    rows = sweep(configs, jobs=jobs)
     _emit(results_csv(rows), args.out)
     return 0
 
@@ -225,14 +224,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", default=str(DEFAULT_SEED))
     p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--max-exact-n", type=int, default=DEFAULT_MAX_EXACT_N)
     add_common_out(p)
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("sweep", help="run a grid of experiment cells from a file")
     p.add_argument("--config", required=True, help="key=value grid file")
     p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--max-exact-n", type=int, default=DEFAULT_MAX_EXACT_N)
     add_common_out(p)
     p.set_defaults(fn=_cmd_sweep)
 

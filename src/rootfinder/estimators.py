@@ -16,9 +16,8 @@ of a walk from vertex 1 (a :class:`LevelWalk`): a shape's
 :func:`phi_scores`, a growth tree's own :attr:`GrowthTree.walk` for
 :func:`score_growth`, which scores a sampled tree on its growth labels.
 zeta is phi plus log n plus log |Aut(T)|, one automorphism pass at a
-centroid, and xi subtracts log-degree; both stay capped at
-NAIVE_ORBIT_LIMIT vertices.  Multiplicative scores live in natural-log
-domain throughout.
+centroid, and xi subtracts log-degree.  Multiplicative scores live in
+natural-log domain throughout.
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ from hashlib import blake2b
 
 import numpy as np
 
-from .errors import TooLargeError
 from .generators import ModelSpec
-from .isomorphism import NAIVE_ORBIT_LIMIT, aut_log, canonical_code
+from .isomorphism import aut_log, canonical_code
 from .trees import GrowthTree, LevelWalk, ShapeTree, shape_of_growth
 
 __all__ = [
@@ -228,10 +226,6 @@ def _exact_score(shape: ShapeTree, degree_correction: bool) -> np.ndarray:
     phi plus one constant per tree; xi divides out the degree.
     """
     n = shape.n
-    if n > NAIVE_ORBIT_LIMIT:
-        raise TooLargeError(
-            f"exact-likelihood scores are capped at n={NAIVE_ORBIT_LIMIT} (got n={n})"
-        )
     walk = shape.walk_from_1
     values = _phi_values(walk, n) + (math.log(n) + _log_aut(shape, walk))
     if degree_correction:

@@ -33,7 +33,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BadSizeError, TooLargeError
+from .errors import BadSizeError
 from .estimators import (
     ESTIMATOR_TAGS,
     ScoreVector,
@@ -55,12 +55,7 @@ __all__ = [
     "wilson_interval",
     "results_csv",
     "CSV_COLUMNS",
-    "DEFAULT_MAX_EXACT_N",
 ]
-
-# zeta/xi cells above this are refused unless the caller raises the cap
-# explicitly
-DEFAULT_MAX_EXACT_N = 2000
 
 _Z95 = 1.959963984540054
 
@@ -220,14 +215,6 @@ def _map_trials(trial_fn, trials: int, jobs: int) -> np.ndarray:
         return np.array([f for chunk in pool.map(_trial_range, tasks) for f in chunk], dtype=bool)
 
 
-def _check_cap(config: ExperimentConfig, max_exact_n: int) -> None:
-    if config.estimator in ("zeta", "xi") and config.n > max_exact_n:
-        raise TooLargeError(
-            f"exact-likelihood estimator {config.estimator!r}: n={config.n} exceeds the "
-            f"default cap {max_exact_n} (raise max_exact_n / --max-exact-n to override)"
-        )
-
-
 def _run_family(cells: list[ExperimentConfig], jobs: int) -> list[ExperimentResult]:
     """Run cells that differ only in k on shared trials, one scoring per trial.
 
@@ -241,13 +228,9 @@ def _run_family(cells: list[ExperimentConfig], jobs: int) -> list[ExperimentResu
     return [_result_from_outcomes(outcomes[:, i].copy(), seconds) for i in range(len(cells))]
 
 
-def run_trials(
-    config: ExperimentConfig,
-    jobs: int = 1,
-    max_exact_n: int = DEFAULT_MAX_EXACT_N,
-) -> ExperimentResult:
+def run_trials(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Run one cell; identical results for every ``jobs`` value."""
-    return sweep([config], jobs, max_exact_n)[0][1]
+    return sweep([config], jobs)[0][1]
 
 
 def root_leaf_frequency(
@@ -268,9 +251,7 @@ def root_leaf_frequency(
 
 
 def sweep(
-    configs: list[ExperimentConfig],
-    jobs: int = 1,
-    max_exact_n: int = DEFAULT_MAX_EXACT_N,
+    configs: list[ExperimentConfig], jobs: int = 1
 ) -> list[tuple[ExperimentConfig, ExperimentResult]]:
     """Run a list of cells; rows come back in the order given.
 
@@ -282,8 +263,6 @@ def sweep(
     """
     if not configs:
         raise ValueError("empty sweep grid")
-    for c in configs:
-        _check_cap(c, max_exact_n)
     families: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
         families.setdefault((c.model, c.estimator, c.n, c.trials, c.seed), []).append(i)

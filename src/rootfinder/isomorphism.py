@@ -30,7 +30,7 @@ __all__ = [
     "NAIVE_ORBIT_LIMIT",
 ]
 
-# cap on the naive all-roots orbit_counts, and on n for zeta/xi scores
+# cap on the naive all-roots orbit_counts
 NAIVE_ORBIT_LIMIT = 5000
 
 _logfact = np.zeros(1)

@@ -5,12 +5,12 @@ Two views of a tree on vertices 1..n:
 * :class:`GrowthTree` — the chronologically labeled tree produced by an
   attachment process, stored as a parent array with ``parent[i] < i``.
 * :class:`ShapeTree` — an unlabeled observed tree; labels 1..n are opaque.
-  Adjacency is stored CSR-style in two flat arrays so traversals stay
-  iterative and survive path graphs of a million vertices.  Every shape
-  (:func:`build_shape`, :func:`shape_of_growth`, :func:`forget_labels`)
-  is made by ``_csr_from_endpoints`` from both directions of each edge:
-  one sort of packed (source, slot) keys, so a vertex's neighbours keep
-  the order their edges were given in.
+  It keeps its n-1 edges as two endpoint arrays, as they were given, and
+  reads degrees and walks straight off them.  The CSR adjacency that the
+  list walk needs is built on first read and cached: one sort of packed
+  (source, slot) keys over both directions of each edge
+  (``_csr_from_endpoints``), so a vertex's neighbours keep the order its
+  edges were given in.
 
 All structures are immutable after construction and safe to share across
 worker processes.  A tree oriented away from a root is a
@@ -22,27 +22,25 @@ Three walks orient a tree away from a root.  Each only finds an order and
 the parents, and :meth:`LevelWalk.from_order` sums the subtree sizes
 bottom-up, one scatter-add per level or one loop over a topological order:
 
-* the level walk (``_level_walk``) gathers a whole level of a shape's CSR
-  adjacency with numpy, in the list walk's BFS order.  It serves the
-  passes made once per shape at any n: :func:`subtree_sizes` and the
-  ``psi``/``phi`` scores of a shape, which share the walk from vertex 1
-  that :func:`build_shape` makes while validating and the shape keeps
-  (:attr:`ShapeTree.walk_from_1`).
+* the peel (``_peel_walk``) strips a shape's leaves round by round with
+  numpy, from each vertex's degree and the sum of its neighbours' ids, so
+  it needs no adjacency.  It serves the passes made once per shape at any
+  n: :func:`subtree_sizes` and the ``psi``/``phi`` scores of a shape,
+  which share the peel from vertex 1 that :func:`build_shape` makes as its
+  tree check and the shape keeps (:attr:`ShapeTree.walk_from_1`).
 * the growth walk (``_growth_walk``) orients a :class:`GrowthTree` from
   vertex 1 without building a shape: depths come from pointer jumping on
   ``parent``, levels from a small-integer sort of the depths.  The Monte
   Carlo trials score each sampled tree on it (:attr:`GrowthTree.walk`)
-  before, and mostly instead of, relabelling it.  Its levels hold the
-  level walk's vertex sets, in label order within a level.
-* the list walk (:func:`rooted_lists`) returns plain lists.  It serves
-  the code that consumes lists anyway: ``canonical_code`` and ``aut_log``,
-  and the oracles, which walk a small tree once per candidate root.  On
-  trees of a few hundred vertices it is two to three times as fast as the
-  level walk.
+  before, and mostly instead of, relabelling it.
+* the list walk (:func:`rooted_lists`) is a BFS over the CSR adjacency
+  that returns plain lists.  It serves the code that consumes lists
+  anyway: ``canonical_code`` and ``aut_log``, and the oracles, which walk
+  a small tree once per candidate root.
 
 A tree with many narrow levels, such as a path, leaves the two numpy walks
-for a topological order without levels (the list walk's BFS order, or
-label order for a growth tree), so deep trees stay linear.
+for a topological order without levels (the rest of the peel done in a
+loop, or label order for a growth tree), so deep trees stay linear.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -139,53 +137,77 @@ class GrowthTree:
         return _growth_walk(self.parent)
 
 
-@dataclass(frozen=True)
-class ShapeTree:
-    """Unlabeled tree in CSR adjacency form.
-
-    Neighbors of v are ``adjncy[xadj[v]:xadj[v+1]]``; ``xadj`` has length
-    n+2 with slot 0 unused.  Labels carry no chronological meaning.
-    """
+class _Csr(NamedTuple):
+    """CSR adjacency: the neighbours of v are ``adjncy[xadj[v]:xadj[v+1]]``;
+    ``xadj`` has length n+2 with slot 0 unused."""
 
     xadj: np.ndarray
     adjncy: np.ndarray
 
+
+@dataclass(frozen=True)
+class ShapeTree:
+    """Unlabeled tree kept as its n-1 edges: edge i joins ``src[i]`` and
+    ``dst[i]``, in the order they were given.  Labels carry no
+    chronological meaning.
+
+    Degrees and walks are read off the edges.  The CSR adjacency
+    (:attr:`xadj`, :attr:`adjncy`) is built on first read and cached; in
+    it, a vertex's neighbours come in the order of its edges, those where
+    it is the ``src`` end first.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+
     def __post_init__(self):
-        xa = np.asarray(self.xadj, dtype=np.int64)
-        ad = np.asarray(self.adjncy, dtype=np.int64)
-        object.__setattr__(self, "xadj", xa)
-        object.__setattr__(self, "adjncy", ad)
-        xa.flags.writeable = False
-        ad.flags.writeable = False
+        object.__setattr__(self, "src", _frozen(self.src))
+        object.__setattr__(self, "dst", _frozen(self.dst))
 
     @property
     def n(self) -> int:
-        return self.xadj.shape[0] - 2
+        return self.src.shape[0] + 1
+
+    @cached_property
+    def _csr(self) -> _Csr:
+        src, dst = self.src, self.dst
+        return _csr_from_endpoints(np.concatenate([src, dst]), np.concatenate([dst, src]), self.n)
+
+    @property
+    def xadj(self) -> np.ndarray:
+        return self._csr.xadj
+
+    @property
+    def adjncy(self) -> np.ndarray:
+        return self._csr.adjncy
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.adjncy[self.xadj[v] : self.xadj[v + 1]]
 
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        deg = np.bincount(self.src, minlength=self.n + 1)
+        deg += np.bincount(self.dst, minlength=self.n + 1)
+        return _frozen(deg)
+
     def degrees(self) -> np.ndarray:
-        """Degree array indexed by vertex (index 0 unused, set to 0)."""
-        out = np.zeros(self.n + 1, dtype=np.int64)
-        out[1:] = np.diff(self.xadj[1:])
-        return out
+        """Degree array indexed by vertex (index 0 unused, set to 0),
+        computed once per shape and read-only."""
+        return self._degrees
 
     def degree_of(self, v: int) -> int:
-        return int(self.xadj[v + 1] - self.xadj[v])
+        return int(self._degrees[v])
 
     @cached_property
     def walk_from_1(self) -> "LevelWalk":
-        """The level walk from vertex 1, made once per shape and shared by
+        """The peel from vertex 1, made once per shape and shared by
         ``psi``, ``phi`` and ``subtree_sizes(shape, 1)``."""
-        return _level_walk(self, 1)
+        return _peel_walk(self, 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges as (min, max) pairs, sorted."""
-        src = np.repeat(np.arange(1, self.n + 1), np.diff(self.xadj[1:]))
-        dst = self.adjncy[self.xadj[1] : self.xadj[-1]]
-        keep = src < dst
-        lo, hi = src[keep], dst[keep]
+        lo = np.minimum(self.src, self.dst)
+        hi = np.maximum(self.src, self.dst)
         order = np.lexsort((hi, lo))
         return list(zip(lo[order].tolist(), hi[order].tolist()))
 
@@ -200,12 +222,15 @@ class LevelWalk:
     ``down_size[v]`` is the size of the subtree hanging below v, so
     ``down_size[root] == n`` (slot 0 holds 0).  The children of v are the
     vertices whose parent is v; the leaves are no vertex's parent.  ``order``
-    lists the vertices level by level, root first (in BFS order from the
-    level walk, by label within a level from the growth walk), and
-    ``bounds`` holds where each level starts in it, then ``len(order)``.
-    When a deep tree sent the walk to a loop, ``bounds`` is None and
-    ``order`` is only a topological order: every parent before its
-    children.
+    lists the vertices level by level, and ``bounds`` holds where each
+    level starts in it, then ``len(order)``.  The root sits alone in level
+    0, and every vertex's parent lies in an earlier level, so a level's
+    vertices can be handled at once.  The growth walk's levels are depths
+    (by label within a level); the peel's are its rounds, last first, so
+    level d holds the vertices of height h - d, where a vertex's height is
+    the distance down to its deepest descendant and h is the root's.  When
+    a deep tree sent the walk to a loop, ``bounds`` is None and ``order`` is
+    only a topological order: every parent before its children.
     """
 
     root: int
@@ -258,7 +283,7 @@ class LevelWalk:
 # ---------------------------------------------------------------------------
 
 
-def _csr_from_endpoints(src: np.ndarray, dst: np.ndarray, n: int) -> ShapeTree:
+def _csr_from_endpoints(src: np.ndarray, dst: np.ndarray, n: int) -> _Csr:
     """Build CSR adjacency from directed endpoint arrays (both directions given).
 
     The slots are ordered by a stable sort on ``src``: one sort of the
@@ -274,12 +299,12 @@ def _csr_from_endpoints(src: np.ndarray, dst: np.ndarray, n: int) -> ShapeTree:
     slots = src.shape[0]
     shift = (slots - 1).bit_length()
     if n.bit_length() + shift > 63:
-        return ShapeTree(xadj=xadj, adjncy=dst[np.argsort(src, kind="stable")])
+        return _Csr(_frozen(xadj), _frozen(dst[np.argsort(src, kind="stable")]))
     keys = src << shift
     keys |= np.arange(slots)
     keys.sort()
     keys &= (1 << shift) - 1
-    return ShapeTree(xadj=xadj, adjncy=dst[keys])
+    return _Csr(_frozen(xadj), _frozen(dst[keys]))
 
 
 def build_shape(edges: Iterable[tuple[int, int]] | np.ndarray) -> ShapeTree:
@@ -288,8 +313,10 @@ def build_shape(edges: Iterable[tuple[int, int]] | np.ndarray) -> ShapeTree:
     ``edges`` is an iterable of vertex pairs or an (m, 2) integer array.
     Vertex identifiers must be the integers 1..n.  Raises SelfLoopError,
     DuplicateEdgeError, or CycleOrDisconnectedError for non-trees, checked
-    in that order.  The connectivity check is the walk from vertex 1,
-    which the shape keeps as :attr:`ShapeTree.walk_from_1`.
+    in that order.  The tree check is the peel from vertex 1, which the
+    shape keeps as :attr:`ShapeTree.walk_from_1`: with m = n - 1 edges,
+    peeling all n - 1 other vertices proves a tree.  Only when it fails
+    are the edges sorted to tell a duplicate edge from a cycle.
     """
     if isinstance(edges, np.ndarray):
         if edges.ndim != 2 or edges.shape[1] != 2:
@@ -302,11 +329,27 @@ def build_shape(edges: Iterable[tuple[int, int]] | np.ndarray) -> ShapeTree:
         raise CycleOrDisconnectedError("empty edge list does not define a tree (n >= 2)")
     if arr.min() < 1:
         raise ValueError("vertex identifiers must be positive integers")
-    a, b = arr[:, 0], arr[:, 1]
+    a, b = arr.T.copy()
     if np.any(a == b):
         raise SelfLoopError("edge joins a vertex to itself")
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    n = int(hi.max())
+    n = int(arr.max())
+    if m == n - 1:
+        shape = ShapeTree(a, b)
+        try:
+            shape.walk_from_1  # the peel is the tree check
+        except CycleOrDisconnectedError:
+            pass
+        else:
+            return shape
+    _check_no_duplicates(arr, n)
+    if m != n - 1:
+        raise CycleOrDisconnectedError(f"{m} edges on {n} vertices is not a tree")
+    raise CycleOrDisconnectedError("edge set is cyclic or disconnected")
+
+
+def _check_no_duplicates(arr: np.ndarray, n: int) -> None:
+    """Raise DuplicateEdgeError if two rows of ``arr`` join the same pair."""
+    lo, hi = arr.min(axis=1), arr.max(axis=1)
     if n > _KEY_LIMIT:  # lo * (n + 1) + hi would overflow: number the vertices densely
         ids, dense = np.unique(arr, return_inverse=True)
         dense = dense.reshape(arr.shape)
@@ -316,22 +359,11 @@ def build_shape(edges: Iterable[tuple[int, int]] | np.ndarray) -> ShapeTree:
     keys = np.sort(lo * n_keys + hi)
     if np.any(keys[1:] == keys[:-1]):
         raise DuplicateEdgeError("duplicate undirected edge")
-    if m != n - 1:
-        raise CycleOrDisconnectedError(f"{m} edges on {n} vertices is not a tree")
-    shape = _csr_from_endpoints(np.concatenate([a, b]), np.concatenate([b, a]), n)
-    if shape.walk_from_1.order.shape[0] != n:
-        raise CycleOrDisconnectedError("edge set is cyclic or disconnected")
-    return shape
 
 
 def shape_of_growth(t: GrowthTree) -> ShapeTree:
     """The shape of a growth tree with labels kept as-is (no shuffling)."""
-    n = t.n
-    kids = np.arange(2, n + 1, dtype=np.int64)
-    pars = t.parent[2:]
-    return _csr_from_endpoints(
-        np.concatenate([kids, pars]), np.concatenate([pars, kids]), n
-    )
+    return ShapeTree(np.arange(2, t.n + 1), t.parent[2:])
 
 
 def label_permutation(n: int, rng) -> np.ndarray:
@@ -359,12 +391,7 @@ def forget_labels(t: GrowthTree, rng=None, permutation=None):
         perm = label_permutation(n, rng)
     relabel = np.zeros(n + 1, dtype=np.int64)
     relabel[1:] = perm
-    kids = relabel[np.arange(2, n + 1)]
-    pars = relabel[t.parent[2:]]
-    shape = _csr_from_endpoints(
-        np.concatenate([kids, pars]), np.concatenate([pars, kids]), n
-    )
-    return shape, int(relabel[1])
+    return ShapeTree(relabel[2:], relabel[t.parent[2:]]), int(relabel[1])
 
 
 # ---------------------------------------------------------------------------
@@ -401,53 +428,75 @@ def rooted_lists(shape: ShapeTree, root: int):
     return order, parent
 
 
-def _level_walk(shape: ShapeTree, root: int) -> LevelWalk:
-    """Level-synchronous BFS from ``root``.
+def _peel_walk(shape: ShapeTree, root: int) -> LevelWalk:
+    """Orient a shape away from ``root`` by peeling its leaves.
 
-    Each level's CSR slices are gathered at once (``np.repeat`` over
-    ``xadj``) and each vertex's parent is dropped from them by
-    ``ndarray.compress``, several times faster than a boolean-mask index
-    on numpy 2.4, so the order is the list walk's: level by level, each
-    vertex's children in adjacency order.  Once more than ``_NARROW``
-    levels have been narrower than ``_NARROW``, the tree is deep and
-    numpy's per-level cost would outweigh a loop, so the list walk starts
-    again from the root.  The walk keeps only the parent out of each
-    frontier, so on a cyclic component it would not end: it stops with
-    CycleOrDisconnectedError once it has met more than n vertices.  A
-    disconnected graph gives a walk of root's component only.
+    Each vertex starts with its degree and the sum of its neighbours' ids,
+    so once it is down to one edge, the sum that remains is its parent.
+    A round peels every current leaf but the root: it takes each leaf off
+    its parent's degree and sum with one scatter-subtract each, and the
+    parents left with one edge are the next round's leaves (a parent of
+    several leaves is kept once, where a scratch array says its last copy
+    is).  The rounds, last first, are the walk's levels after the root's,
+    since a vertex is peeled only after all its children.  Once more than
+    ``_NARROW`` rounds have been narrower than ``_NARROW``, the tree is
+    deep and numpy's per-round cost would outweigh a loop, so a loop peels
+    the rest one leaf at a time; the walk then has no levels.  On anything
+    but a tree some vertex never becomes a leaf, and the walk raises
+    CycleOrDisconnectedError.
     """
     n = shape.n
-    xadj, adjncy = shape.xadj, shape.adjncy
-    order = np.empty(n, dtype=np.int64)
+    deg = shape.degrees().copy()
+    deg[root] += n  # the root never becomes a leaf
+    id_sum = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(id_sum, shape.src, shape.dst)
+    np.add.at(id_sum, shape.dst, shape.src)
     parent = np.zeros(n + 1, dtype=np.int64)
-    order[0] = root
-    bounds = [0]
+    order = np.empty(n, dtype=np.int64)  # filled from its end, a round at a time
+    last = np.empty(n + 1, dtype=np.int64)
+    starts = [n]  # where each round starts in order
     narrow = 0
-    a, b = 0, 1  # the current level is order[a:b]
-    while a < b:
-        if b - a < _NARROW:
+    leaves = np.flatnonzero(deg == 1)
+    while leaves.size:
+        if leaves.size < _NARROW:
             narrow += 1
             if narrow > _NARROW:
-                return LevelWalk.from_order(root, *rooted_lists(shape, root))
-        level = order[a:b]
-        starts = xadj[level]
-        counts = xadj[level + 1] - starts
-        total = int(counts.sum())
-        # every vertex but the root drops one slot, its parent: the walk
-        # will have met a + total vertices, checked before the gather
-        if a + total > n:
-            raise CycleOrDisconnectedError("walk met more than n vertices: not a tree")
-        owner = np.repeat(level, counts)
-        slots = np.arange(total) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        nb = adjncy[slots]
-        keep = nb != parent[owner]
-        nxt = nb.compress(keep)
-        e = b + nxt.shape[0]
-        order[b:e] = nxt
-        parent[nxt] = owner.compress(keep)
-        bounds.append(b)
-        a, b = b, e
-    return LevelWalk.from_order(root, order[:b], parent, tuple(bounds))
+                return _peel_rest(root, leaves, deg, id_sum, parent, order[starts[-1] :])
+        up = id_sum[leaves]
+        parent[leaves] = up
+        order[starts[-1] - leaves.size : starts[-1]] = leaves
+        starts.append(starts[-1] - leaves.size)
+        np.subtract.at(deg, up, 1)
+        np.subtract.at(id_sum, up, leaves)
+        hit = up.compress(deg[up] == 1)
+        slot = np.arange(hit.size)
+        last[hit] = slot
+        leaves = hit.compress(last[hit] == slot)
+    if starts[-1] != 1:
+        raise CycleOrDisconnectedError("peeling stopped short of the root: not a tree")
+    order[0] = root
+    return LevelWalk.from_order(root, order, parent, (0, *reversed(starts)))
+
+
+def _peel_rest(root, leaves, deg, id_sum, parent, peeled) -> LevelWalk:
+    """Finish :func:`_peel_walk` in a loop from ``leaves``, ``peeled``
+    holding the vertices the rounds took, last round first."""
+    d, up, par = deg.tolist(), id_sum.tolist(), parent.tolist()
+    n = len(par) - 1
+    stack = leaves.tolist()
+    rest = []
+    while stack:
+        v = stack.pop()
+        p = up[v]
+        par[v] = p
+        rest.append(v)
+        d[p] -= 1
+        up[p] -= v
+        if d[p] == 1:
+            stack.append(p)
+    if 1 + len(rest) + len(peeled) != n:
+        raise CycleOrDisconnectedError("peeling stopped short of the root: not a tree")
+    return LevelWalk.from_order(root, [root, *reversed(rest), *peeled.tolist()], par)
 
 
 def _growth_walk(parent: np.ndarray) -> LevelWalk:
@@ -489,7 +538,7 @@ def subtree_sizes(shape: ShapeTree, root: int) -> LevelWalk:
     n = shape.n
     if not (1 <= root <= n):
         raise ValueError(f"root {root} out of range 1..{n}")
-    return shape.walk_from_1 if root == 1 else _level_walk(shape, root)
+    return shape.walk_from_1 if root == 1 else _peel_walk(shape, root)
 
 
 # ---------------------------------------------------------------------------

@@ -206,13 +206,13 @@ def test_bad_jobs_env_leaves_other_commands_alone(capsys, monkeypatch, tmp_path)
     assert out.splitlines()[0] == "5"
 
 
-def test_experiment_quadratic_cap_is_enforced(capsys):
-    code, _, err = run_cli(
+def test_experiment_runs_zeta_past_the_old_cap(capsys):
+    code, out, _ = run_cli(
         capsys, "experiment", "--model", "ua", "--estimator", "zeta",
         "--n", "2500", "--k", "1", "--trials", "1",
     )
-    assert code == 2
-    assert "max-exact-n" in err
+    assert code == 0
+    assert out.splitlines()[1].split(",")[1:5] == ["zeta", "2500", "1", "1"]
 
 
 def test_sweep_runs_grid_file(capsys, tmp_path):

@@ -26,7 +26,6 @@ from rootfinder import (
     GrowthTree,
     ModelSpec,
     RngStream,
-    TooLargeError,
     UnsupportedModelError,
     build_shape,
     forget_labels,
@@ -262,12 +261,14 @@ def test_xi_argmin_matches_enumeration_posterior():
         assert best_score == best_post
 
 
-def test_exact_scores_respect_size_cap():
+def test_exact_scores_past_the_orbit_limit_on_a_star():
+    # |Aut| of a star on n vertices is (n - 1)!, so zeta = phi + log n + log (n - 1)!
     big = build_shape([(1, k) for k in range(2, NAIVE_ORBIT_LIMIT + 3)])
-    with pytest.raises(TooLargeError):
-        zeta_scores(big)
-    with pytest.raises(TooLargeError):
-        xi_scores(big)
+    n = big.n
+    zeta = phi_scores(big).values + math.log(n) + math.lgamma(n)
+    np.testing.assert_allclose(zeta_scores(big).values, zeta, rtol=1e-12, atol=0)
+    xi = zeta - np.log(np.concatenate(([1], big.degrees()[1:])))
+    np.testing.assert_allclose(xi_scores(big).values, xi, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from rootfinder import (
     ExperimentResult,
     ModelSpec,
     RngStream,
-    TooLargeError,
     forget_labels,
     parse_model,
     parse_sweep_grid,
@@ -36,8 +35,8 @@ from rootfinder import (
     wilson_interval,
 )
 from rootfinder import experiments
-from rootfinder.estimators import rank_interval
-from rootfinder.experiments import CSV_COLUMNS, DEFAULT_MAX_EXACT_N
+from rootfinder.estimators import ESTIMATOR_TAGS, rank_interval
+from rootfinder.experiments import CSV_COLUMNS
 from rootfinder.rng import DEFAULT_SEED
 
 UA = ModelSpec("uniform")
@@ -261,29 +260,16 @@ def test_root_leaf_jobs_parity():
 
 
 # ---------------------------------------------------------------------------
-# quadratic-estimator size cap
+# exact estimators at any n
 
 
-def test_zeta_cell_above_cap_is_refused():
-    config = small_config(estimator="zeta", n=150, trials=1)
-    with pytest.raises(TooLargeError):
-        run_trials(config, max_exact_n=100)
-
-
-def test_zeta_cell_under_cap_runs():
-    res = run_trials(small_config(estimator="zeta", n=80, trials=2), max_exact_n=100)
-    assert res.trials == 2
-
-
-def test_default_cap_blocks_big_xi_cells():
-    config = small_config(estimator="xi", n=DEFAULT_MAX_EXACT_N + 1, trials=1)
-    with pytest.raises(TooLargeError):
-        run_trials(config)
-
-
-def test_linear_estimators_ignore_the_cap():
-    res = run_trials(small_config(n=DEFAULT_MAX_EXACT_N + 1, k=1, trials=1))
-    assert res.trials == 1
+def test_exact_cells_run_past_the_old_cap():
+    # zeta is phi plus one constant per tree, so on the same trees a zeta
+    # cell succeeds where the phi cell does; n = 2001 was once refused
+    cells = {tag: small_config(estimator=tag, n=2001, trials=3) for tag in ESTIMATOR_TAGS}
+    results = {tag: run_trials(config) for tag, config in cells.items()}
+    assert all(res.trials == 3 for res in results.values())
+    assert np.array_equal(results["zeta"].outcomes, results["phi"].outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,9 @@ from rootfinder import (
     write_growth,
 )
 
-from rootfinder.estimators import score_growth
-from rootfinder.trees import _csr_from_endpoints, label_permutation
+from rootfinder import trees
+from rootfinder.estimators import score_growth, score_tree, select_smallest, tie_runs
+from rootfinder.trees import LevelWalk, _csr_from_endpoints, label_permutation
 
 from helpers import list_walk, phi_by_list_rerooting
 
@@ -160,6 +161,27 @@ def test_build_shape_cycle_through_vertex_1_with_tree_edge_count(as_array):
         build_shape(np.array([(1, 2), (2, 3), (2, 1)]) if as_array else [(1, 2), (2, 3), (2, 1)])
 
 
+TAIL = [(i, i + 1) for i in range(4, 201)]  # a path long enough to send the peel to its loop
+
+
+@pytest.mark.parametrize(
+    "edges, error",
+    [
+        ([(1, 2), (1, 2), (3, 4), (3, 5)], DuplicateEdgeError),
+        ([(1, 2), (2, 3), (3, 1), (4, 5)], CycleOrDisconnectedError),
+        ([(1, 2), (3, 4), (4, 5), (5, 3)], CycleOrDisconnectedError),
+        # the same once the peel has gone on in a loop, vertex 2 isolated
+        ([(1, 3), (1, 3), (3, 4)] + TAIL, DuplicateEdgeError),
+        ([(1, 3), (3, 4), (4, 1)] + TAIL, CycleOrDisconnectedError),
+    ],
+)
+def test_non_tree_with_tree_edge_count_keeps_its_error_class(edges, error):
+    # n - 1 edges: only when the peel from vertex 1 stops short are the
+    # edges sorted to tell a duplicate from a cycle
+    with pytest.raises(error):
+        build_shape(edges)
+
+
 def test_build_shape_rejects_nonpositive_and_empty():
     with pytest.raises(ValueError):
         build_shape([(0, 1)])
@@ -272,9 +294,15 @@ def test_level_walk_matches_list_walk(name):
     for root in sorted({1, 2, n // 3, n // 2 + 1, n}):
         walk = subtree_sizes(shape, root)
         order, parent, down = list_walk(shape, root)
-        assert walk.order.tolist() == order
         assert walk.parent.tolist() == parent
         assert walk.down_size.tolist() == down
+        # the levels partition 1..n, the root alone in level 0, and every
+        # vertex's parent lies in an earlier level
+        assert sorted(walk.order.tolist()) == list(range(1, n + 1))
+        level = walk_depths(walk)
+        assert (np.flatnonzero(level[1:] == 0) + 1).tolist() == [root]
+        others = np.flatnonzero(level > 0)
+        assert np.all(level[walk.parent[others]] < level[others])
 
 
 @pytest.mark.parametrize("name", ["ua", "pa", "deep", "broom", "path"])
@@ -338,7 +366,8 @@ def test_growth_walk_matches_level_walk_of_its_shape(name):
     assert sorted(walk.order.tolist()) == list(range(1, tree.n + 1))
     assert np.array_equal(walk.parent, level.parent)
     assert np.array_equal(walk.down_size, level.down_size)
-    assert np.array_equal(walk_depths(walk), walk_depths(shape.walk_from_1))
+    order, parent, _ = list_walk(shape, 1)
+    assert np.array_equal(walk_depths(walk), walk_depths(LevelWalk.from_order(1, order, parent)))
     assert np.array_equal(score_growth(tree, "psi"), psi_scores(shape).values)
     phi = score_growth(tree, "phi")
     np.testing.assert_allclose(phi, phi_scores(shape).values, rtol=1e-12, atol=0)
@@ -393,6 +422,25 @@ def test_csr_matches_a_stable_argsort_of_the_sources(name, n):
     swap = gen.random(n - 1) < 0.5
     edges[swap] = edges[swap, ::-1]
     same(build_shape(edges), np.concatenate(edges.T), np.concatenate(edges.T[::-1]))
+
+
+def test_phi_and_a_set_without_ties_build_no_csr(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return _csr_from_endpoints(*args)
+
+    monkeypatch.setattr(trees, "_csr_from_endpoints", counted)
+    shape = random_shape(10_000, 9)
+    scores = score_tree(shape, "phi")
+    # no tie among the 10 lowest, nor between the 10th and the 11th
+    assert tie_runs(scores, 10)[1][:11].tolist() == list(range(11))
+    assert len(select_smallest(scores, 10).vertices) == 10
+    assert built == []
+    # the first read builds the CSR, once
+    assert shape.xadj[-1] == shape.adjncy.shape[0] == 2 * (shape.n - 1)
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
