@@ -35,7 +35,7 @@ from rootfinder import (
     wilson_interval,
 )
 from rootfinder import experiments
-from rootfinder.estimators import ESTIMATOR_TAGS, rank_interval
+from rootfinder.estimators import rank_interval
 from rootfinder.experiments import CSV_COLUMNS
 from rootfinder.rng import DEFAULT_SEED
 
@@ -263,13 +263,36 @@ def test_root_leaf_jobs_parity():
 # exact estimators at any n
 
 
-def test_exact_cells_run_past_the_old_cap():
-    # zeta is phi plus one constant per tree, so on the same trees a zeta
-    # cell succeeds where the phi cell does; n = 2001 was once refused
-    cells = {tag: small_config(estimator=tag, n=2001, trials=3) for tag in ESTIMATOR_TAGS}
-    results = {tag: run_trials(config) for tag, config in cells.items()}
-    assert all(res.trials == 3 for res in results.values())
-    assert np.array_equal(results["zeta"].outcomes, results["phi"].outcomes)
+# These four keep the names they had when zeta and xi cells were capped
+# (max_exact_n, DEFAULT_MAX_EXACT_N = 2000). Both estimators are O(n) now and
+# the cap is deleted, so each checks that the request it once covered runs.
+
+
+def test_zeta_cell_above_cap_is_refused():
+    # the n = 150 cell was refused under max_exact_n = 100; zeta is phi plus
+    # one constant per tree, so on the same trees it succeeds where phi does
+    zeta = run_trials(small_config(estimator="zeta", n=150, trials=3))
+    phi = run_trials(small_config(estimator="phi", n=150, trials=3))
+    assert zeta.trials == 3
+    assert np.array_equal(zeta.outcomes, phi.outcomes)
+
+
+def test_zeta_cell_under_cap_runs():
+    res = run_trials(small_config(estimator="zeta", n=80, trials=2))
+    assert res.trials == 2
+
+
+def test_default_cap_blocks_big_xi_cells():
+    # n = 2001 was one past the old default cap; the xi cell now runs
+    res = run_trials(small_config(estimator="xi", n=2001, trials=1))
+    assert res.trials == 1
+    assert res.outcomes.shape == (1,)
+
+
+def test_linear_estimators_ignore_the_cap():
+    for estimator in ("psi", "phi"):
+        res = run_trials(small_config(estimator=estimator, n=2001, k=1, trials=1))
+        assert res.trials == 1
 
 
 # ---------------------------------------------------------------------------
