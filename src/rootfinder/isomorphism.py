@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TooLargeError
-from .trees import ShapeTree, rooted_lists
+from .trees import ShapeTree, subtree_sizes
 
 __all__ = [
     "canonical_code",
@@ -50,12 +50,14 @@ def log_factorials(m: int) -> np.ndarray:
 def canonical_code(shape: ShapeTree, root: int) -> bytes:
     """Canonical byte code of the tree rooted at ``root``.
 
-    Codes of finished subtrees are released as soon as the parent consumes
-    them, so peak memory follows the widest antichain, not the tree size.
+    The walk is :func:`subtree_sizes`, read children first.  Codes of
+    finished subtrees are released as soon as the parent consumes them, so
+    peak memory follows the widest antichain, not the tree size.
     """
-    order, parent = rooted_lists(shape, root)
+    walk = subtree_sizes(shape, root)
+    parent = walk.parent.tolist()
     pending: list = [[] for _ in range(shape.n + 1)]
-    for v in reversed(order):
+    for v in reversed(walk.order.tolist()):
         parts = pending[v]
         parts.sort()
         code = b"(" + b"".join(parts) + b")"
@@ -63,7 +65,7 @@ def canonical_code(shape: ShapeTree, root: int) -> bytes:
         if v == root:
             return code
         pending[parent[v]].append(code)
-    raise AssertionError("unreachable: root is always last in reversed BFS order")
+    raise AssertionError("unreachable: the root is last in a walk's order reversed")
 
 
 def aut_log(shape: ShapeTree, root: int) -> np.ndarray:
@@ -72,13 +74,14 @@ def aut_log(shape: ShapeTree, root: int) -> np.ndarray:
     Child subtrees are grouped by interned integer type ids (one shared
     table per call), so no byte codes are materialized; leaves get 0.
     """
-    order, parent = rooted_lists(shape, root)
+    walk = subtree_sizes(shape, root)
+    parent = walk.parent.tolist()
     n = shape.n
     lf = log_factorials(n).tolist()
     out = np.zeros(n + 1)
     intern: dict[tuple, int] = {}
     pending: list = [[] for _ in range(n + 1)]
-    for v in reversed(order):
+    for v in reversed(walk.order.tolist()):
         ids = pending[v]
         ids.sort()
         total = 0.0

@@ -33,7 +33,7 @@ from .errors import (
 from .generators import ModelSpec
 from .isomorphism import canonical_code, orbit_counts
 from .rng import as_generator
-from .trees import GrowthTree, LevelWalk, ShapeTree, rooted_lists, shape_of_growth
+from .trees import GrowthTree, LevelWalk, ShapeTree, shape_of_growth, subtree_sizes
 
 __all__ = [
     "PlaneGrowthTree",
@@ -41,6 +41,7 @@ __all__ = [
     "TailCheckResult",
     "enumerate_recursive",
     "enumerate_plane_recursive",
+    "enumerate_classes",
     "embedding_count",
     "embedding_count_plane",
     "exact_posterior",
@@ -163,21 +164,41 @@ def enumerate_plane_recursive(n: int) -> Iterator[PlaneGrowthTree]:
     yield from rec(3)
 
 
+def enumerate_classes(n: int, plane: bool = False):
+    """Bucket every increasing-labeled (with ``plane``, plane-oriented) tree
+    on n vertices by the canonical code of its shape rooted at vertex 1.
+
+    Returns ``(counts, exemplar)``: how many trees fall in each class, and
+    the first GrowthTree met in it.
+    """
+    counts: dict[bytes, int] = {}
+    exemplar: dict[bytes, GrowthTree] = {}
+    if plane:
+        stream = (pt.tree for pt in enumerate_plane_recursive(n))
+    else:
+        stream = enumerate_recursive(n)
+    for t in stream:
+        key = canonical_code(shape_of_growth(t), 1)
+        counts[key] = counts.get(key, 0) + 1
+        exemplar.setdefault(key, t)
+    return counts, exemplar
+
+
 # ---------------------------------------------------------------------------
 # Counting formulas
 # ---------------------------------------------------------------------------
 
 
-def _exact_aut(shape: ShapeTree, root: int) -> list[int]:
-    """Exact integer Aut(v, (T, root)) per vertex: product of multiplicity
-    factorials over isomorphic child subtrees.  Independent of the float
-    log-domain pass used by the estimators."""
-    order, parent = rooted_lists(shape, root)
-    n = shape.n
+def _exact_aut(walk: LevelWalk) -> list[int]:
+    """Exact integer Aut(v, (T, root)) per vertex of a rooted walk: product
+    of multiplicity factorials over isomorphic child subtrees.  Independent
+    of the float log-domain pass used by the estimators."""
+    parent = walk.parent.tolist()
+    n = len(parent) - 1
     out = [1] * (n + 1)
     intern: dict[tuple, int] = {}
     pending: list = [[] for _ in range(n + 1)]
-    for v in reversed(order):
+    for v in reversed(walk.order.tolist()):
         ids = pending[v]
         ids.sort()
         aut = 1
@@ -191,7 +212,7 @@ def _exact_aut(shape: ShapeTree, root: int) -> list[int]:
         if ids:
             aut *= math.factorial(run)
         out[v] = aut
-        if v == root:
+        if v == walk.root:
             break
         key = tuple(ids)
         tid = intern.get(key)
@@ -205,8 +226,9 @@ def _exact_aut(shape: ShapeTree, root: int) -> list[int]:
 
 def _shape_denominator(shape: ShapeTree, root: int) -> int:
     """Product over non-leaves of subtree size times Aut factor (exact)."""
-    down = LevelWalk.from_order(root, *rooted_lists(shape, root)).down_size.tolist()
-    aut = _exact_aut(shape, root)
+    walk = subtree_sizes(shape, root)
+    down = walk.down_size.tolist()
+    aut = _exact_aut(walk)
     denom = 1
     for v in range(1, shape.n + 1):
         denom *= down[v] * aut[v]  # leaves contribute 1 * 1
@@ -302,15 +324,7 @@ def enumeration_posterior(shape: ShapeTree, model: ModelSpec) -> list[Fraction]:
     limit = MAX_POSTERIOR_N if kind == "uniform" else MAX_PLANE_POSTERIOR_N
     if n > limit:
         raise TooLargeError(f"enumeration posterior ({kind}) is capped at n={limit} (got n={n})")
-    buckets: dict[bytes, int] = {}
-    if kind == "uniform":
-        for t in enumerate_recursive(n):
-            key = canonical_code(shape_of_growth(t), 1)
-            buckets[key] = buckets.get(key, 0) + 1
-    else:
-        for pt in enumerate_plane_recursive(n):
-            key = canonical_code(shape_of_growth(pt.tree), 1)
-            buckets[key] = buckets.get(key, 0) + 1
+    buckets, _ = enumerate_classes(n, plane=kind != "uniform")
     orbit = orbit_counts(shape).tolist()
     weights = [Fraction(0)]
     weights += [

@@ -6,11 +6,7 @@ Two views of a tree on vertices 1..n:
   attachment process, stored as a parent array with ``parent[i] < i``.
 * :class:`ShapeTree` — an unlabeled observed tree; labels 1..n are opaque.
   It keeps its n-1 edges as two endpoint arrays, as they were given, and
-  reads degrees and walks straight off them.  The CSR adjacency that the
-  list walk needs is built on first read and cached: one sort of packed
-  (source, slot) keys over both directions of each edge
-  (``_csr_from_endpoints``), so a vertex's neighbours keep the order its
-  edges were given in.
+  reads degrees and walks straight off them.
 
 All structures are immutable after construction and safe to share across
 worker processes.  A tree oriented away from a root is a
@@ -18,25 +14,27 @@ worker processes.  A tree oriented away from a root is a
 than re-deriving them: ``size(w -> u)``, the component of u once w is
 deleted, is ``subtree_sizes(shape, w).down_size[u]``.
 
-Three walks orient a tree away from a root.  Each only finds an order and
-the parents, and :meth:`LevelWalk.from_order` sums the subtree sizes
-bottom-up, one scatter-add per level or one loop over a topological order:
+Two walks orient a tree away from vertex 1, and one turns a walk round.
+The two walks only find an order and the parents, and
+:meth:`LevelWalk.from_order` sums the subtree sizes bottom-up, one
+scatter-add per level or one loop over a topological order:
 
 * the peel (``_peel_walk``) strips a shape's leaves round by round with
   numpy, from each vertex's degree and the sum of its neighbours' ids, so
-  it needs no adjacency.  It serves the passes made once per shape at any
-  n: :func:`subtree_sizes` and the ``psi``/``phi`` scores of a shape,
-  which share the peel from vertex 1 that :func:`build_shape` makes as its
-  tree check and the shape keeps (:attr:`ShapeTree.walk_from_1`).
+  it needs no adjacency.  :func:`build_shape` makes it as its tree check,
+  and the shape keeps it (:attr:`ShapeTree.walk_from_1`) for the ``psi``
+  and ``phi`` scores and every rooted view.
 * the growth walk (``_growth_walk``) orients a :class:`GrowthTree` from
   vertex 1 without building a shape: depths come from pointer jumping on
   ``parent``, levels from a small-integer sort of the depths.  The Monte
   Carlo trials score each sampled tree on it (:attr:`GrowthTree.walk`)
   before, and mostly instead of, relabelling it.
-* the list walk (:func:`rooted_lists`) is a BFS over the CSR adjacency
-  that returns plain lists.  It serves the code that consumes lists
-  anyway: ``canonical_code`` and ``aut_log``, and the oracles, which walk
-  a small tree once per candidate root.
+* :meth:`LevelWalk.reroot` orients the tree from any other vertex u by
+  turning round only the path from u up to the walk's root, where each
+  vertex takes the one before it as parent, and n less that one's old
+  size as its own.  It is how
+  :func:`subtree_sizes` roots a shape anywhere, and so how
+  ``canonical_code``, ``aut_log`` and the oracles see each rooted view.
 
 A tree with many narrow levels, such as a path, leaves the two numpy walks
 for a topological order without levels (the rest of the peel done in a
@@ -50,7 +48,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -77,7 +75,6 @@ __all__ = [
     "forget_labels",
     "label_permutation",
     "subtree_sizes",
-    "rooted_lists",
     "read_edge_list",
     "write_edge_list",
     "read_growth",
@@ -128,21 +125,10 @@ class GrowthTree:
         deg[2:] += 1  # every vertex but 1 has a parent edge
         return deg
 
-    def degree_of(self, v: int) -> int:
-        return int(self.degrees()[v])
-
     @cached_property
     def walk(self) -> "LevelWalk":
         """The growth walk from vertex 1, on the tree's own labels."""
         return _growth_walk(self.parent)
-
-
-class _Csr(NamedTuple):
-    """CSR adjacency: the neighbours of v are ``adjncy[xadj[v]:xadj[v+1]]``;
-    ``xadj`` has length n+2 with slot 0 unused."""
-
-    xadj: np.ndarray
-    adjncy: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -151,10 +137,12 @@ class ShapeTree:
     ``dst[i]``, in the order they were given.  Labels carry no
     chronological meaning.
 
-    Degrees and walks are read off the edges.  The CSR adjacency
-    (:attr:`xadj`, :attr:`adjncy`) is built on first read and cached; in
-    it, a vertex's neighbours come in the order of its edges, those where
-    it is the ``src`` end first.
+    Degrees and walks are read off the edges, and no package function
+    needs more.  The CSR adjacency (:attr:`xadj`, :attr:`adjncy`: the
+    neighbours of v are ``adjncy[xadj[v]:xadj[v+1]]``, slot 0 of ``xadj``
+    unused) is built on first read and cached; in it, a vertex's
+    neighbours come in the order of its edges, those where it is the
+    ``src`` end first.
     """
 
     src: np.ndarray
@@ -169,17 +157,20 @@ class ShapeTree:
         return self.src.shape[0] + 1
 
     @cached_property
-    def _csr(self) -> _Csr:
-        src, dst = self.src, self.dst
-        return _csr_from_endpoints(np.concatenate([src, dst]), np.concatenate([dst, src]), self.n)
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        xadj = np.zeros(self.n + 2, dtype=np.int64)
+        np.cumsum(self._degrees[1:], out=xadj[2:])
+        src = np.concatenate([self.src, self.dst])
+        dst = np.concatenate([self.dst, self.src])
+        return _frozen(xadj), _frozen(dst[np.argsort(src, kind="stable")])
 
     @property
     def xadj(self) -> np.ndarray:
-        return self._csr.xadj
+        return self._csr[0]
 
     @property
     def adjncy(self) -> np.ndarray:
-        return self._csr.adjncy
+        return self._csr[1]
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.adjncy[self.xadj[v] : self.xadj[v + 1]]
@@ -201,8 +192,8 @@ class ShapeTree:
     @cached_property
     def walk_from_1(self) -> "LevelWalk":
         """The peel from vertex 1, made once per shape and shared by
-        ``psi``, ``phi`` and ``subtree_sizes(shape, 1)``."""
-        return _peel_walk(self, 1)
+        ``psi``, ``phi`` and every :func:`subtree_sizes`."""
+        return _peel_walk(self)
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges as (min, max) pairs, sorted."""
@@ -229,8 +220,10 @@ class LevelWalk:
     (by label within a level); the peel's are its rounds, last first, so
     level d holds the vertices of height h - d, where a vertex's height is
     the distance down to its deepest descendant and h is the root's.  When
-    a deep tree sent the walk to a loop, ``bounds`` is None and ``order`` is
-    only a topological order: every parent before its children.
+    a deep tree sent the walk to a loop, or the walk was turned round to
+    another root (:meth:`reroot`), it has no levels: ``bounds`` is None and
+    ``order`` is only a topological order, every parent before its
+    children.
     """
 
     root: int
@@ -259,6 +252,35 @@ class LevelWalk:
         down[0] = 0  # the root's parent is slot 0, which took the root's size
         return cls(root, *map(_frozen, (order, parent, down)), bounds=bounds)
 
+    def reroot(self, u: int) -> "LevelWalk":
+        """The same tree oriented away from ``u``, turned round along the
+        path p_0 = u, ..., p_k = root: p_i's parent becomes p_(i-1), and its
+        subtree becomes everything but p_(i-1)'s old one, of size
+        n - down_size[p_(i-1)].  Off the path nothing changes.  The order is
+        the path, then the old order without it, which puts every parent
+        first, so the walk has no levels.  A few O(n) array passes, no
+        search.  A ``u`` outside 1..n raises ValueError."""
+        n = int(self.down_size[self.root])
+        if not 1 <= u <= n:
+            raise ValueError(f"root {u} out of range 1..{n}")
+        if u == self.root:
+            return self
+        old = self.parent
+        path = [u]
+        while path[-1] != self.root:
+            path.append(int(old[path[-1]]))
+        path = np.array(path)
+        parent = old.copy()
+        parent[path[1:]] = path[:-1]
+        parent[u] = 0
+        down = self.down_size.copy()
+        down[path[1:]] = n - self.down_size[path[:-1]]
+        down[u] = n
+        on_path = np.zeros(old.shape[0], dtype=bool)
+        on_path[path] = True
+        order = np.concatenate([path, self.order[~on_path[self.order]]])
+        return LevelWalk(u, *map(_frozen, (order, parent, down)), bounds=None)
+
     def descend(self, first: float, step: np.ndarray) -> np.ndarray:
         """Sums down the tree: ``values[root] = first`` and
         ``values[v] = values[parent[v]] + step[v]``, one float add per
@@ -281,30 +303,6 @@ class LevelWalk:
 # ---------------------------------------------------------------------------
 # Construction and validation
 # ---------------------------------------------------------------------------
-
-
-def _csr_from_endpoints(src: np.ndarray, dst: np.ndarray, n: int) -> _Csr:
-    """Build CSR adjacency from directed endpoint arrays (both directions given).
-
-    The slots are ordered by a stable sort on ``src``: one sort of the
-    int64 keys ``src << shift | slot``, whose low bits hold each slot's
-    index, so no two keys are equal and the sorted keys give the stable
-    order back in their low bits.  That is several times faster than
-    numpy's stable sort of int64 keys.  Keys that would pass 63 bits
-    (n >= 2**31) take the stable sort instead.
-    """
-    deg = np.bincount(src, minlength=n + 1)
-    xadj = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(deg[1:], out=xadj[2:])
-    slots = src.shape[0]
-    shift = (slots - 1).bit_length()
-    if n.bit_length() + shift > 63:
-        return _Csr(_frozen(xadj), _frozen(dst[np.argsort(src, kind="stable")]))
-    keys = src << shift
-    keys |= np.arange(slots)
-    keys.sort()
-    keys &= (1 << shift) - 1
-    return _Csr(_frozen(xadj), _frozen(dst[keys]))
 
 
 def build_shape(edges: Iterable[tuple[int, int]] | np.ndarray) -> ShapeTree:
@@ -399,41 +397,12 @@ def forget_labels(t: GrowthTree, rng=None, permutation=None):
 # ---------------------------------------------------------------------------
 
 
-def rooted_lists(shape: ShapeTree, root: int):
-    """The list walk: BFS from ``root`` as ``(order, parent)`` plain lists.
-
-    parent[root] is 0.  Only the component containing root is visited.  For
-    code that consumes lists, such as the oracles' loops over every root;
-    ``LevelWalk.from_order`` adds the subtree sizes.
-    """
-    n = shape.n
-    if not (1 <= root <= n):
-        raise ValueError(f"root {root} out of range 1..{n}")
-    xa = shape.xadj.tolist()
-    ad = shape.adjncy.tolist()
-    parent = [0] * (n + 1)
-    seen = bytearray(n + 1)
-    seen[root] = 1
-    order = [root]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for k in range(xa[u], xa[u + 1]):
-            v = ad[k]
-            if not seen[v]:
-                seen[v] = 1
-                parent[v] = u
-                order.append(v)
-    return order, parent
-
-
-def _peel_walk(shape: ShapeTree, root: int) -> LevelWalk:
-    """Orient a shape away from ``root`` by peeling its leaves.
+def _peel_walk(shape: ShapeTree) -> LevelWalk:
+    """Orient a shape away from vertex 1 by peeling its leaves.
 
     Each vertex starts with its degree and the sum of its neighbours' ids,
     so once it is down to one edge, the sum that remains is its parent.
-    A round peels every current leaf but the root: it takes each leaf off
+    A round peels every current leaf but vertex 1: it takes each leaf off
     its parent's degree and sum with one scatter-subtract each, and the
     parents left with one edge are the next round's leaves (a parent of
     several leaves is kept once, where a scratch array says its last copy
@@ -447,7 +416,7 @@ def _peel_walk(shape: ShapeTree, root: int) -> LevelWalk:
     """
     n = shape.n
     deg = shape.degrees().copy()
-    deg[root] += n  # the root never becomes a leaf
+    deg[1] += n  # the root never becomes a leaf
     id_sum = np.zeros(n + 1, dtype=np.int64)
     np.add.at(id_sum, shape.src, shape.dst)
     np.add.at(id_sum, shape.dst, shape.src)
@@ -461,7 +430,7 @@ def _peel_walk(shape: ShapeTree, root: int) -> LevelWalk:
         if leaves.size < _NARROW:
             narrow += 1
             if narrow > _NARROW:
-                return _peel_rest(root, leaves, deg, id_sum, parent, order[starts[-1] :])
+                return _peel_rest(leaves, deg, id_sum, parent, order[starts[-1] :])
         up = id_sum[leaves]
         parent[leaves] = up
         order[starts[-1] - leaves.size : starts[-1]] = leaves
@@ -474,11 +443,11 @@ def _peel_walk(shape: ShapeTree, root: int) -> LevelWalk:
         leaves = hit.compress(last[hit] == slot)
     if starts[-1] != 1:
         raise CycleOrDisconnectedError("peeling stopped short of the root: not a tree")
-    order[0] = root
-    return LevelWalk.from_order(root, order, parent, (0, *reversed(starts)))
+    order[0] = 1
+    return LevelWalk.from_order(1, order, parent, (0, *reversed(starts)))
 
 
-def _peel_rest(root, leaves, deg, id_sum, parent, peeled) -> LevelWalk:
+def _peel_rest(leaves, deg, id_sum, parent, peeled) -> LevelWalk:
     """Finish :func:`_peel_walk` in a loop from ``leaves``, ``peeled``
     holding the vertices the rounds took, last round first."""
     d, up, par = deg.tolist(), id_sum.tolist(), parent.tolist()
@@ -496,7 +465,7 @@ def _peel_rest(root, leaves, deg, id_sum, parent, peeled) -> LevelWalk:
             stack.append(p)
     if 1 + len(rest) + len(peeled) != n:
         raise CycleOrDisconnectedError("peeling stopped short of the root: not a tree")
-    return LevelWalk.from_order(root, [root, *reversed(rest), *peeled.tolist()], par)
+    return LevelWalk.from_order(1, [1, *reversed(rest), *peeled.tolist()], par)
 
 
 def _growth_walk(parent: np.ndarray) -> LevelWalk:
@@ -534,11 +503,10 @@ def _frozen(values) -> np.ndarray:
 
 
 def subtree_sizes(shape: ShapeTree, root: int) -> LevelWalk:
-    """Orient the tree away from ``root`` and compute all subtree sizes."""
-    n = shape.n
-    if not (1 <= root <= n):
-        raise ValueError(f"root {root} out of range 1..{n}")
-    return shape.walk_from_1 if root == 1 else _peel_walk(shape, root)
+    """The tree oriented away from ``root`` with all its subtree sizes: the
+    shape's walk from vertex 1, turned round (:meth:`LevelWalk.reroot`).
+    A ``root`` outside 1..n raises ValueError."""
+    return shape.walk_from_1.reroot(root)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,12 @@ import math
 from dataclasses import dataclass
 
 from .generators import ModelSpec
-from .isomorphism import canonical_code
 from .oracle import (
     PartitionVector,
     double_factorial_odd,
     embedding_count,
     embedding_count_plane,
-    enumerate_plane_recursive,
-    enumerate_recursive,
+    enumerate_classes,
     enumeration_posterior,
     exact_posterior,
     gamma_tail_check,
@@ -27,7 +25,7 @@ from .oracle import (
     product_tail_check,
 )
 from .rng import DEFAULT_SEED, RngStream
-from .trees import GrowthTree, shape_of_growth
+from .trees import shape_of_growth
 
 __all__ = [
     "CheckLine",
@@ -73,72 +71,46 @@ GAMMA_GRID: tuple[tuple[tuple[int, ...], float], ...] = (
 PRODUCT_TAIL_GRID: tuple[float, ...] = (1e-2, 1e-4, 1e-6, 1e-8)
 
 
-def _class_buckets(n: int, plane: bool):
-    """Bucket enumerated trees by canonical code of their shape rooted at
-    vertex 1; keep one exemplar GrowthTree per class."""
-    buckets: dict[bytes, int] = {}
-    exemplar: dict[bytes, GrowthTree] = {}
-    if plane:
-        stream = (pt.tree for pt in enumerate_plane_recursive(n))
-    else:
-        stream = enumerate_recursive(n)
-    for t in stream:
-        key = canonical_code(shape_of_growth(t), 1)
-        buckets[key] = buckets.get(key, 0) + 1
-        exemplar.setdefault(key, t)
-    return buckets, exemplar
+def _counting_lines(name: str, n_max: int, plane: bool, counter, expected_total) -> list[CheckLine]:
+    """For n = 2..n_max, each enumerated class's count against ``counter``
+    of its shape rooted at vertex 1, and the total against
+    ``expected_total(n)``."""
+    lines = []
+    for n in range(2, n_max + 1):
+        buckets, exemplar = enumerate_classes(n, plane)
+        total = sum(buckets.values())
+        expected = expected_total(n)
+        mismatches = 0
+        for key, count in buckets.items():
+            shape = shape_of_growth(exemplar[key])
+            if counter(shape, 1) != count:
+                mismatches += 1
+        ok = total == expected and mismatches == 0
+        lines.append(
+            CheckLine(
+                name=f"{name} n={n}",
+                passed=ok,
+                detail=(
+                    f"classes={len(buckets)} total={total} expected={expected} "
+                    f"class-mismatches={mismatches}"
+                ),
+            )
+        )
+    return lines
 
 
 def counting_suite(n_max: int = 7) -> list[CheckLine]:
     """Per-class and total counts of increasing labelings vs enumeration."""
-    lines = []
-    for n in range(2, n_max + 1):
-        buckets, exemplar = _class_buckets(n, plane=False)
-        total = sum(buckets.values())
-        expected = math.factorial(n - 1)
-        mismatches = 0
-        for key, count in buckets.items():
-            shape = shape_of_growth(exemplar[key])
-            if embedding_count(shape, 1) != count:
-                mismatches += 1
-        ok = total == expected and mismatches == 0
-        lines.append(
-            CheckLine(
-                name=f"counting n={n}",
-                passed=ok,
-                detail=(
-                    f"classes={len(buckets)} total={total} expected={expected} "
-                    f"class-mismatches={mismatches}"
-                ),
-            )
-        )
-    return lines
+    return _counting_lines(
+        "counting", n_max, False, embedding_count, lambda n: math.factorial(n - 1)
+    )
 
 
 def plane_counting_suite(n_max: int = 6) -> list[CheckLine]:
     """Per-class and total plane-oriented counts vs plane enumeration."""
-    lines = []
-    for n in range(2, n_max + 1):
-        buckets, exemplar = _class_buckets(n, plane=True)
-        total = sum(buckets.values())
-        expected = double_factorial_odd(n)
-        mismatches = 0
-        for key, count in buckets.items():
-            shape = shape_of_growth(exemplar[key])
-            if embedding_count_plane(shape, 1) != count:
-                mismatches += 1
-        ok = total == expected and mismatches == 0
-        lines.append(
-            CheckLine(
-                name=f"plane-counting n={n}",
-                passed=ok,
-                detail=(
-                    f"classes={len(buckets)} total={total} expected={expected} "
-                    f"class-mismatches={mismatches}"
-                ),
-            )
-        )
-    return lines
+    return _counting_lines(
+        "plane-counting", n_max, True, embedding_count_plane, double_factorial_odd
+    )
 
 
 def posterior_suite(n_max: int = 6) -> list[CheckLine]:
@@ -153,7 +125,7 @@ def posterior_suite(n_max: int = 6) -> list[CheckLine]:
         (ModelSpec("preferential"), max(2, n_max - 1)),
     ):
         for n in range(2, limit + 1):
-            _, exemplar = _class_buckets(n, plane=False)
+            _, exemplar = enumerate_classes(n)
             bad = 0
             checked = 0
             for t in exemplar.values():

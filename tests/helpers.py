@@ -13,7 +13,6 @@ import numpy as np
 
 from rootfinder import aut_log, canonical_code, orbit_counts, shape_of_growth
 from rootfinder.oracle import enumerate_recursive
-from rootfinder.trees import LevelWalk, rooted_lists
 
 
 def edge_set(shape):
@@ -65,8 +64,9 @@ def distinct_shapes(n, limit=None):
 
 
 def list_walk(shape, root):
-    """Queue-based BFS over Python lists: (order, parent, down_size) as lists,
-    parent[root] = 0 and down_size[0] = 0."""
+    """Queue-based BFS over the CSR adjacency in Python lists, the one list
+    walk and the slow check on the library's walks: (order, parent,
+    down_size) as lists, parent[root] = 0 and down_size[0] = 0."""
     xa, ad = shape.xadj.tolist(), shape.adjncy.tolist()
     parent = [0] * (shape.n + 1)
     seen = {root}
@@ -82,6 +82,18 @@ def list_walk(shape, root):
     for v in reversed(order[1:]):
         down[parent[v]] += down[v]
     return order, parent, down
+
+
+def code_on_list_walk(shape, root):
+    """The canonical code of ``shape`` rooted at ``root``, built children
+    first along :func:`list_walk`."""
+    order, parent, _ = list_walk(shape, root)
+    parts = [[] for _ in range(shape.n + 1)]
+    for v in reversed(order):
+        code = b"(" + b"".join(sorted(parts[v])) + b")"
+        if v == root:
+            return code
+        parts[parent[v]].append(code)
 
 
 def phi_by_list_rerooting(shape):
@@ -130,7 +142,7 @@ def exact_score_by_roots(shape, degree_correction=False):
     degree = shape.degrees().tolist()
     values = np.full(n + 1, np.inf)
     for u in range(1, n + 1):
-        down = LevelWalk.from_order(u, *rooted_lists(shape, u)).down_size
+        down = np.array(list_walk(shape, u)[2])
         total = float(np.sum(np.log(down[1:]))) + float(np.sum(aut_log(shape, u)[1:]))
         values[u] = total + math.log(orbit[u])
         if degree_correction:

@@ -17,6 +17,7 @@ Hand-evaluated reference values (all verifiable on paper):
 
 import math
 import time
+from hashlib import blake2b
 
 import numpy as np
 import pytest
@@ -395,6 +396,39 @@ def test_select_deterministic_across_calls():
     shape, _ = random_shape(500, 8)
     sv = phi_scores(shape)
     assert select_smallest(sv, 25).vertices == select_smallest(sv, 25).vertices
+
+
+def tie_order_cases():
+    """Tie-heavy shapes under random labels, with the estimators to order
+    each by: a PA tree whose hub leaves tie, a star, a double star whose
+    centres tie in one orbit, and even paths."""
+    pa = sample_preferential_attachment(300, RngStream(13, 0).generator())
+    yield forget_labels(pa, rng=RngStream(13, 1).generator())[0], ("psi", "phi")
+    small = [
+        [1] * 39,
+        [1] * 20 + [2] * 19,
+        [1],
+        list(range(1, 10)),
+        list(range(1, 50)),
+    ]
+    for i, parents in enumerate(small, start=2):
+        tree = GrowthTree.from_attachments(parents)
+        yield forget_labels(tree, rng=RngStream(13, i).generator())[0], ESTIMATOR_TAGS
+
+
+# recorded while canonical codes still walked each root by a BFS of its own
+TIE_ORDER_DIGEST = "c43953d74bb565042f6cb0784860c4e1"
+
+
+def test_tie_order_of_whole_sets_is_pinned():
+    # every vertex of each case in score, code and label order: a change
+    # to the walks or the codes that moves a tie fails here
+    sets = [
+        list(select_smallest(score_tree(shape, tag), shape.n).vertices)
+        for shape, tags in tie_order_cases()
+        for tag in tags
+    ]
+    assert blake2b(repr(sets).encode(), digest_size=16).hexdigest() == TIE_ORDER_DIGEST
 
 
 def test_confidence_set_equality_and_iteration():

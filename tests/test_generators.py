@@ -231,10 +231,10 @@ def test_preferential_hub_degree_scaling():
     for i in range(trials):
         small[i] = sample_preferential_attachment(
             1000, RngStream(77, i).generator()
-        ).degree_of(1) / math.sqrt(1000)
+        ).degrees()[1] / math.sqrt(1000)
         large[i] = sample_preferential_attachment(
             4000, RngStream(77, i).generator()
-        ).degree_of(1) / math.sqrt(4000)
+        ).degrees()[1] / math.sqrt(4000)
     assert abs(small.mean() - large.mean()) <= 0.05 * small.mean()
 
 

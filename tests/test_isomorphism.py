@@ -15,9 +15,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from helpers import brute_automorphism_count, brute_rooted_isomorphic, distinct_shapes
+from helpers import (
+    brute_automorphism_count,
+    brute_rooted_isomorphic,
+    code_on_list_walk,
+    distinct_shapes,
+)
 
 from rootfinder import (
+    GrowthTree,
     RngStream,
     aut_log,
     build_shape,
@@ -25,6 +31,7 @@ from rootfinder import (
     forget_labels,
     log_factorials,
     orbit_counts,
+    sample_preferential_attachment,
     sample_uniform_attachment,
     shape_of_growth,
     subtree_sizes,
@@ -51,6 +58,24 @@ def test_code_exact_bytes():
     assert canonical_code(PATH3, 1) == b"((()))"
     assert canonical_code(PATH3, 2) == b"(()())"
     assert canonical_code(STAR4, 1) == b"(()()())"
+
+
+def _code_shapes():
+    path = GrowthTree.from_attachments(list(range(1, 50)))
+    yield build_shape([(2, 1)])
+    yield build_shape([(7, k) for k in range(1, 41) if k != 7])  # a star centred on 7
+    yield forget_labels(path, rng=RngStream(9, 1).generator())[0]
+    for i, sample in enumerate((sample_uniform_attachment, sample_preferential_attachment)):
+        tree = sample(200, RngStream(9, 2 + i).generator())
+        yield forget_labels(tree, rng=RngStream(9, 4 + i).generator())[0]
+
+
+def test_code_at_every_root_matches_a_code_on_the_list_walk():
+    # canonical_code reads the walk from vertex 1 turned round; the list
+    # walk is an independent BFS over the CSR adjacency
+    for shape in _code_shapes():
+        for u in range(1, shape.n + 1):
+            assert canonical_code(shape, u) == code_on_list_walk(shape, u)
 
 
 def test_code_length_is_twice_n():

@@ -38,11 +38,14 @@ from rootfinder import (
     subtree_sizes,
     write_edge_list,
     write_growth,
+    xi_scores,
+    zeta_scores,
 )
 
-from rootfinder import trees
 from rootfinder.estimators import score_growth, score_tree, select_smallest, tie_runs
-from rootfinder.trees import LevelWalk, _csr_from_endpoints, label_permutation
+from rootfinder.isomorphism import orbit_counts
+from rootfinder.oracle import embedding_count
+from rootfinder.trees import LevelWalk, label_permutation
 
 from helpers import list_walk, phi_by_list_rerooting
 
@@ -68,7 +71,7 @@ def test_growth_tree_basic():
     assert t.n == 4
     assert t.edges() == [(1, 2), (2, 3), (2, 4)]
     assert t.degrees().tolist() == [0, 1, 3, 1, 1]
-    assert t.degree_of(2) == 3
+    assert t.degrees()[2] == 3
 
 
 def test_growth_tree_rejects_bad_parents():
@@ -286,12 +289,27 @@ WALK_SHAPES = {
     "path": lambda: shape_of_growth(GrowthTree.from_attachments(list(range(1, 3000)))),
 }
 
+# shapes small enough to root at every vertex
+SMALL_SHAPES = {
+    "two": lambda: build_shape([(2, 1)]),
+    "path50": lambda: forget_labels(
+        GrowthTree.from_attachments(list(range(1, 50))), rng=RngStream(5, 5).generator()
+    )[0],
+    "ua200": lambda: random_shape(200, 10),
+    "pa200": lambda: forget_labels(
+        sample_preferential_attachment(200, RngStream(5, 6).generator()), rng=RngStream(5, 7).generator()
+    )[0],
+}
 
-@pytest.mark.parametrize("name", sorted(WALK_SHAPES))
+
+@pytest.mark.parametrize("name", sorted(WALK_SHAPES) + sorted(SMALL_SHAPES))
 def test_level_walk_matches_list_walk(name):
-    shape = WALK_SHAPES[name]()
+    shape = {**WALK_SHAPES, **SMALL_SHAPES}[name]()
     n = shape.n
-    for root in sorted({1, 2, n // 3, n // 2 + 1, n}):
+    # every root up to the 500-vertex star, else a few; off vertex 1 the
+    # walk is walk_from_1 turned round
+    roots = range(1, n + 1) if n <= 500 else sorted({1, 2, n // 3, n // 2 + 1, n})
+    for root in roots:
         walk = subtree_sizes(shape, root)
         order, parent, down = list_walk(shape, root)
         assert walk.parent.tolist() == parent
@@ -415,32 +433,36 @@ def test_csr_matches_a_stable_argsort_of_the_sources(name, n):
     shape, _ = forget_labels(t, permutation=perm)
     src, dst = growth_endpoints(t, np.concatenate([[0], perm]))
     same(shape, src, dst)
-    # the endpoints of an edge file: edges and their ends in any order
-    shuffle = gen.permutation(src.shape[0])
-    same(_csr_from_endpoints(src[shuffle], dst[shuffle], n), src[shuffle], dst[shuffle])
+    # the edges of an edge file, and their ends, in any order
     edges = np.stack([src[: n - 1], dst[: n - 1]], axis=1)[gen.permutation(n - 1)]
     swap = gen.random(n - 1) < 0.5
     edges[swap] = edges[swap, ::-1]
     same(build_shape(edges), np.concatenate(edges.T), np.concatenate(edges.T[::-1]))
 
 
-def test_phi_and_a_set_without_ties_build_no_csr(monkeypatch):
-    built = []
-
-    def counted(*args):
-        built.append(args)
-        return _csr_from_endpoints(*args)
-
-    monkeypatch.setattr(trees, "_csr_from_endpoints", counted)
+def test_phi_and_a_set_without_ties_build_no_csr():
     shape = random_shape(10_000, 9)
     scores = score_tree(shape, "phi")
     # no tie among the 10 lowest, nor between the 10th and the 11th
     assert tie_runs(scores, 10)[1][:11].tolist() == list(range(11))
     assert len(select_smallest(scores, 10).vertices) == 10
-    assert built == []
-    # the first read builds the CSR, once
+    assert "_csr" not in shape.__dict__
+    # nor do canonical codes, the exact scores or the oracles: every rooted
+    # view is the peel from vertex 1 turned round
+    pa = forget_labels(
+        sample_preferential_attachment(300, RngStream(5, 8).generator()), rng=RngStream(5, 9).generator()
+    )[0]
+    phi = score_tree(pa, "phi")
+    assert len(np.unique(phi.values)) < pa.n  # tied runs, so the whole set is code-sorted
+    assert len(select_smallest(phi, pa.n).vertices) == pa.n
+    for build in (zeta_scores, xi_scores, orbit_counts):
+        build(pa)
+    small = random_shape(12, 11)
+    assert sum(embedding_count(small, u) for u in range(1, 13)) > 0
+    assert "_csr" not in pa.__dict__ and "_csr" not in small.__dict__
+    # the first read builds the CSR and caches it
     assert shape.xadj[-1] == shape.adjncy.shape[0] == 2 * (shape.n - 1)
-    assert len(built) == 1
+    assert shape.__dict__["_csr"][0] is shape.xadj
 
 
 # ---------------------------------------------------------------------------
