@@ -309,22 +309,23 @@ def build_shape(edges: Iterable[tuple[int, int]] | np.ndarray) -> ShapeTree:
     """Validate an edge list and return the ShapeTree.
 
     ``edges`` is an iterable of vertex pairs or an (m, 2) integer array.
-    Vertex identifiers must be the integers 1..n.  Raises SelfLoopError,
+    Vertex identifiers must be the integers 1..n; a float, even 2.0, raises
+    ValueError rather than being truncated.  Raises SelfLoopError,
     DuplicateEdgeError, or CycleOrDisconnectedError for non-trees, checked
     in that order.  The tree check is the peel from vertex 1, which the
     shape keeps as :attr:`ShapeTree.walk_from_1`: with m = n - 1 edges,
     peeling all n - 1 other vertices proves a tree.  Only when it fails
     are the edges sorted to tell a duplicate edge from a cycle.
     """
-    if isinstance(edges, np.ndarray):
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("an edge array must have shape (m, 2)")
-        arr = edges.astype(np.int64, copy=False)
-    else:
-        arr = np.array([(int(a), int(b)) for a, b in edges], dtype=np.int64).reshape(-1, 2)
-    m = arr.shape[0]
-    if m == 0:
+    arr = edges if isinstance(edges, np.ndarray) else np.array(list(edges))
+    if arr.size == 0:
         raise CycleOrDisconnectedError("empty edge list does not define a tree (n >= 2)")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("an edge array must have shape (m, 2)")
+    if arr.dtype.kind not in "iu":  # a float id would be truncated by astype
+        raise ValueError(f"vertex identifiers must be integers, not {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    m = arr.shape[0]
     if arr.min() < 1:
         raise ValueError("vertex identifiers must be positive integers")
     a, b = arr.T.copy()

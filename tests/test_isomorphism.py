@@ -68,6 +68,15 @@ def _code_shapes():
     for i, sample in enumerate((sample_uniform_attachment, sample_preferential_attachment)):
         tree = sample(200, RngStream(9, 2 + i).generator())
         yield forget_labels(tree, rng=RngStream(9, 4 + i).generator())[0]
+    # leaf-heavy shapes, where most codes are the constant leaf code: a PA
+    # tree of the size the score-pa-ties workload scores, and a caterpillar
+    # whose 12 spine vertices carry 1 to 4 leaves each and nothing else
+    tree = sample_preferential_attachment(300, RngStream(9, 6).generator())
+    yield forget_labels(tree, rng=RngStream(9, 7).generator())[0]
+    spine = list(range(1, 12))
+    legs = [s for s in range(1, 13) for _ in range(1 + s % 4)]
+    caterpillar = GrowthTree.from_attachments(spine + legs)
+    yield forget_labels(caterpillar, rng=RngStream(9, 8).generator())[0]
 
 
 def test_code_at_every_root_matches_a_code_on_the_list_walk():

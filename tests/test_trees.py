@@ -188,8 +188,21 @@ def test_non_tree_with_tree_edge_count_keeps_its_error_class(edges, error):
 def test_build_shape_rejects_nonpositive_and_empty():
     with pytest.raises(ValueError):
         build_shape([(0, 1)])
+    # non-integer ids are refused, not truncated to the path 1-2-3
+    with pytest.raises(ValueError):
+        build_shape([(1.7, 2.9), (2.2, 3)])
+    with pytest.raises(ValueError):
+        build_shape(np.array([[1.7, 2.9], [2.2, 3.0]]))
     with pytest.raises(CycleOrDisconnectedError):
         build_shape([])
+
+
+@pytest.mark.parametrize("code", sorted(set(np.typecodes["AllInteger"])))
+def test_build_shape_accepts_every_integer_dtype(code):
+    edges = np.array([(2, 1), (3, 2)], dtype=code)
+    expected = build_shape([(2, 1), (3, 2)]).edges()
+    assert build_shape(edges).edges() == expected
+    assert build_shape([tuple(e) for e in edges]).edges() == expected
 
 
 def test_shape_immutable():
