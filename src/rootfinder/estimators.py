@@ -23,7 +23,7 @@ natural-log domain throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from hashlib import blake2b
 
 import numpy as np
@@ -42,6 +42,7 @@ __all__ = [
     "score_tree",
     "score_growth",
     "select_smallest",
+    "tie_order",
     "tie_runs",
     "rank_interval",
     "root_posterior",
@@ -78,88 +79,30 @@ class ScoreVector:
         vals.flags.writeable = False
 
 
+@dataclass(frozen=True)
 class ConfidenceSet:
-    """The min(K, n) lowest-scoring vertices.
+    """The min(K, n) lowest-scoring vertices of one estimator's scores.
 
-    ``vertices`` is ordered by (score, canonical code of the rooted view,
-    vertex label) ascending.  The code-based ordering is deferred: score-tied
-    runs that sit wholly inside the set are sorted only when ``vertices``
-    (or iteration, ``==``, ``hash``, ``repr``) needs the order, and the run
-    straddling rank K, whose members compete for the remaining slots, is
-    code-sorted only then or when ``in`` asks about one of that run's own
-    vertices.  So ``len`` and ``v in cs`` for any other vertex compute no
-    canonical code; each sort is cached once done.
+    ``vertices`` is in ascending score order, each tied run in
+    :func:`tie_order`; ``v in cs`` is a set lookup.
     """
 
-    __slots__ = (
-        "estimator",
-        "k",
-        "_shape",
-        "_groups",
-        "_members",
-        "_boundary",
-        "_need",
-        "_chosen",
-        "_ordered",
-    )
+    estimator: str
+    k: int
+    vertices: tuple[int, ...]
+    _members: frozenset = field(init=False, repr=False, compare=False)
 
-    def __init__(self, estimator: str, k: int, shape: ShapeTree, groups, boundary=(), need=0):
-        self.estimator = estimator
-        self.k = k
-        self._shape = shape
-        # runs wholly inside the set, in ascending score order
-        self._groups = tuple(tuple(g) for g in groups)
-        self._members = frozenset(v for g in self._groups for v in g)
-        # the run straddling rank K: ``need`` of its members make the set
-        self._boundary = frozenset(boundary)
-        self._need = need
-        self._chosen: tuple[int, ...] | None = None
-        self._ordered: tuple[int, ...] | None = None
-
-    def _code_sorted(self, members) -> list[int]:
-        shape = self._shape
-        return sorted(members, key=lambda u: (_tie_key(shape, u), u))
-
-    def _boundary_chosen(self) -> tuple[int, ...]:
-        if self._chosen is None:
-            self._chosen = tuple(self._code_sorted(self._boundary)[: self._need])
-        return self._chosen
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        if self._ordered is None:
-            out: list[int] = []
-            for members in self._groups:
-                out.extend(members if len(members) == 1 else self._code_sorted(members))
-            out.extend(self._boundary_chosen())
-            self._ordered = tuple(out)
-        return self._ordered
+    def __post_init__(self):
+        object.__setattr__(self, "_members", frozenset(self.vertices))
 
     def __contains__(self, v) -> bool:
-        if v in self._members:
-            return True
-        return v in self._boundary and v in self._boundary_chosen()
+        return v in self._members
 
     def __len__(self) -> int:
-        return len(self._members) + self._need
+        return len(self.vertices)
 
     def __iter__(self):
         return iter(self.vertices)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConfidenceSet):
-            return NotImplemented
-        return (
-            self.estimator == other.estimator
-            and self.k == other.k
-            and self.vertices == other.vertices
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.estimator, self.k, self.vertices))
-
-    def __repr__(self) -> str:
-        return f"ConfidenceSet(estimator={self.estimator!r}, k={self.k}, vertices={self.vertices})"
 
 
 def _psi_values(walk: LevelWalk, n: int) -> np.ndarray:
@@ -280,11 +223,19 @@ def score_growth(tree: GrowthTree, estimator: str) -> np.ndarray:
     return score_tree(shape_of_growth(tree), estimator).values
 
 
-def _tie_key(shape: ShapeTree, u: int):
-    code = canonical_code(shape, u)
-    if shape.n > _EXACT_CODE_LIMIT:
-        return blake2b(code, digest_size=16).digest()
-    return code
+def tie_order(shape: ShapeTree, members) -> list[int]:
+    """The vertices ``members`` of one tied run in the order that breaks
+    their tie: by the canonical code of the tree rooted at each vertex
+    (compared whole up to ``_EXACT_CODE_LIMIT`` vertices and as a 128-bit
+    blake2b digest above), then by label.  So labels decide only between
+    vertices whose rooted views are isomorphic.  One code per member."""
+    digest = shape.n > _EXACT_CODE_LIMIT
+
+    def key(u):
+        code = canonical_code(shape, u)
+        return (blake2b(code, digest_size=16).digest() if digest else code), u
+
+    return sorted(members, key=key)
 
 
 def _tied(a, b):
@@ -339,7 +290,8 @@ def rank_interval(scores, v: int) -> tuple[int, int]:
     ``scores`` is as in :func:`tie_runs`, and ranks count from 0 in its
     order.  ``v`` is in ``select_smallest(scores, k)`` when
     ``end <= min(k, n)`` and not when ``start >= min(k, n)``; otherwise its
-    run straddles rank k and the canonical-code order decides.
+    run straddles rank k, and v's rank is ``start`` plus its position in
+    the run's :func:`tie_order`.
 
     No sort is needed when v's run is just the scores equal to v's: then
     ``start`` counts the lower scores and ``end`` the scores at most v's.
@@ -373,30 +325,26 @@ def rank_interval(scores, v: int) -> tuple[int, int]:
 def select_smallest(scores: ScoreVector, k: int) -> ConfidenceSet:
     """The min(k, n) lowest-scoring vertices, deterministically ordered.
 
-    Order is (score, canonical code of the tree rooted at the vertex,
-    vertex label): equal-score runs (:func:`tie_runs`) that reach the
-    output are re-sorted by rooted-isomorphism class, so label order only
-    ever separates vertices whose rooted views are isomorphic.  Only the
-    runs reaching below rank min(k, n) are read, so for k well below n
-    tie_runs sorts just those scores.  No run is code-sorted here: runs
-    that fit entirely, and the run that straddles the k-th rank (whose
-    members compete for the remaining slots), are handed over unsorted and
-    ordered lazily by the ``ConfidenceSet``.
+    Order is score, then :func:`tie_order` within each tied run
+    (:func:`tie_runs`), so label order only ever separates vertices whose
+    rooted views are isomorphic.  Only the runs that start below rank
+    min(k, n) are read, so for k well below n tie_runs sorts just those
+    scores; each of them with two or more members is tie-ordered, and the
+    one straddling rank min(k, n) is cut there.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     shape = scores.shape
     m = min(k, shape.n)
     order, bounds = tie_runs(scores, m)
-    # runs [0, full) fit wholly; run ``full`` straddles rank m if it starts below m
-    full = int(np.searchsorted(bounds, m, side="right")) - 1
-    edge = int(bounds[full])
-    ranked = order[: bounds[full + 1] if edge < m else edge].tolist()
-    cuts = bounds[: full + 1].tolist()
-    groups = [ranked[i:j] for i, j in zip(cuts, cuts[1:])]
-    if edge < m:
-        return ConfidenceSet(scores.estimator, k, shape, groups, ranked[edge:], m - edge)
-    return ConfidenceSet(scores.estimator, k, shape, groups)
+    # runs [0, last) start below rank m; run last - 1 may straddle it
+    last = int(np.searchsorted(bounds, m))
+    ranked = order[: bounds[last]].tolist()
+    cuts = bounds[: last + 1].tolist()
+    picked: list[int] = []
+    for i, j in zip(cuts, cuts[1:]):
+        picked += ranked[i:j] if j - i == 1 else tie_order(shape, ranked[i:j])
+    return ConfidenceSet(scores.estimator, k, tuple(picked[:m]))
 
 
 def root_posterior(shape: ShapeTree, model: ModelSpec) -> np.ndarray:

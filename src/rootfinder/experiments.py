@@ -1,24 +1,23 @@
 """Monte Carlo harness for root-finding success rates.
 
 A trial samples a growth tree, scores it on its growth labels (vertex 1 is
-the true first vertex), and checks whether that vertex lands among the K
-lowest-scoring vertices of the tree with its labels shuffled.  The scores,
-and so the true root's rank, do not depend on labels; only the final
-tiebreak does.  So the labels are shuffled only when some K falls strictly
-inside the root's run of tied scores, and then the scores already computed
-move with their vertices.  Trial i always uses the stream (seed, i), and
-the shuffle is the stream's next draw after sampling whether or not it is
+the true first vertex), and reads off that vertex's rank: a size-K
+confidence set of the tree with its labels shuffled holds the first vertex
+exactly when its rank is below K, so one number settles every K.  The
+scores, and so the true root's run of tied scores, do not depend on
+labels; only the order within that run does.  So the rank is the run's
+start unless some K falls strictly inside the run, and only then are the
+labels shuffled and the run put in :func:`tie_order` on the shuffled
+shape, once per trial.  Trial i always uses the stream (seed, i), and the
+shuffle is the stream's next draw after sampling whether or not it is
 made, so results are bit-identical whether trials run serially or across
 worker processes, and two configs sharing a seed see the same trees —
 which makes success rates exactly monotone in K and lets different
 estimators be compared pairwise on identical inputs.
 
 ``sweep`` exploits the shared trees: cells that differ only in K form a
-K-family whose trials are sampled and scored once.  Per trial the true
-root's rank interval, its run of tied scores in ascending order, settles
-every K at once; only a K that falls inside that run asks the confidence
-set, whose canonical-code order decides.  Adding a K to a sweep therefore
-costs almost nothing.
+K-family whose trials are sampled, scored and ranked once, so adding a K
+to a sweep costs almost nothing.
 """
 
 from __future__ import annotations
@@ -34,13 +33,7 @@ from functools import partial
 import numpy as np
 
 from .errors import BadSizeError
-from .estimators import (
-    ESTIMATOR_TAGS,
-    ScoreVector,
-    rank_interval,
-    score_growth,
-    select_smallest,
-)
+from .estimators import ESTIMATOR_TAGS, rank_interval, score_growth, tie_order, tie_runs
 from .generators import ModelSpec, parse_model
 from .rng import DEFAULT_SEED, RngStream
 from .trees import forget_labels, label_permutation
@@ -146,33 +139,24 @@ def _family_trial(config: ExperimentConfig, ks: tuple[int, ...], trial: int) -> 
     """Trial ``trial`` of a K-family: one outcome per K in ``ks``.
 
     The tree is sampled and scored once, on its growth labels; ``config.k``
-    is not read.  Each outcome is read off the true root's rank interval.
-    Only a K that falls strictly inside the root's tied run needs the
-    confidence set: then, and only then, the labels are shuffled with the
-    permutation :func:`forget_labels` would have drawn right after
-    sampling, the scores move with their vertices, and the canonical-code
-    order on the shuffled shape decides.
+    is not read.  Each K's outcome is whether the true root's rank is below
+    min(K, n).  The rank is the start of the root's run of tied scores
+    unless some K falls strictly inside that run: then, and only then, the
+    labels are shuffled with the permutation :func:`forget_labels` would
+    have drawn right after sampling, and the root's position in the run's
+    :func:`tie_order` on the shuffled shape is added.
     """
     gen = RngStream(config.seed, trial).generator()
     tree = config.model.sample(config.n, gen)
     values = score_growth(tree, config.estimator)
-    start, end = rank_interval(values, 1)
-    scores = None
-    flags = []
-    for k in ks:
-        m = min(k, config.n)
-        if start < m < end:  # the root's run straddles rank K
-            if scores is None:
-                perm = label_permutation(config.n, gen)
-                shape, true_root = forget_labels(tree, permutation=perm)
-                moved = np.empty_like(values)
-                moved[0] = values[0]
-                moved[perm] = values[1:]
-                scores = ScoreVector(config.estimator, shape, moved)
-            flags.append(true_root in select_smallest(scores, k))
-        else:
-            flags.append(end <= m)
-    return tuple(flags)
+    rank, end = rank_interval(values, 1)
+    if any(rank < min(k, config.n) < end for k in ks):  # the root's run straddles a K
+        perm = label_permutation(config.n, gen)
+        shape, true_root = forget_labels(tree, permutation=perm)
+        # the run's members on the shuffled labels: growth label v became perm[v - 1]
+        run = perm[tie_runs(values, end)[0][rank:end] - 1]
+        rank += tie_order(shape, run.tolist()).index(true_root)
+    return tuple(rank < min(k, config.n) for k in ks)
 
 
 def _leaf_trial(model: ModelSpec, n: int, seed: int, trial: int) -> bool:

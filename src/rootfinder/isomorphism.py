@@ -85,38 +85,40 @@ def aut_log(shape: ShapeTree, root: int) -> np.ndarray:
     """log Aut(v, (T, root)) for every vertex v (index 0 unused).
 
     Child subtrees are grouped by interned integer type ids (one shared
-    table per call), so no byte codes are materialized; leaves get 0.
+    table per call), so no byte codes are materialized.  As in
+    :func:`canonical_code`, a leaf is the constant type 0 (the empty
+    tuple), keeps Aut 0 and has no list of child ids; a vertex's list is
+    made when its first child finishes.
     """
     walk = subtree_sizes(shape, root)
     parent = walk.parent.tolist()
     n = shape.n
     lf = log_factorials(n).tolist()
     out = np.zeros(n + 1)
-    intern: dict[tuple, int] = {}
-    pending: list = [[] for _ in range(n + 1)]
+    intern: dict[tuple, int] = {(): 0}
+    pending: list = [None] * (n + 1)
     for v in reversed(walk.order.tolist()):
         ids = pending[v]
-        ids.sort()
-        total = 0.0
-        run = 1
-        for i in range(1, len(ids)):
-            if ids[i] == ids[i - 1]:
-                run += 1
-            else:
-                total += lf[run]
-                run = 1
-        if ids:
-            total += lf[run]
-        out[v] = total
+        if ids is not None:
+            ids.sort()
+            total = 0.0
+            run = 1
+            for i in range(1, len(ids)):
+                if ids[i] == ids[i - 1]:
+                    run += 1
+                else:
+                    total += lf[run]
+                    run = 1
+            out[v] = total + lf[run]
+            pending[v] = None
         if v == root:
             break
-        key = tuple(ids)
-        tid = intern.get(key)
-        if tid is None:
-            tid = len(intern)
-            intern[key] = tid
-        pending[v] = None
-        pending[parent[v]].append(tid)
+        tid = 0 if ids is None else intern.setdefault(tuple(ids), len(intern))
+        p = parent[v]
+        if pending[p] is None:
+            pending[p] = [tid]
+        else:
+            pending[p].append(tid)
     return out
 
 

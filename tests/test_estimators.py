@@ -439,6 +439,14 @@ def test_confidence_set_equality_and_iteration():
     assert a != c
     assert list(a) == list(a.vertices)
     assert len(a) == 3
+    assert repr(a) == "ConfidenceSet(estimator='psi', k=3, vertices=(3, 2, 4))"
+    assert hash(a) == hash(b) == hash(("psi", 3, (3, 2, 4)))
+    assert (a == tuple(a.vertices)) is False
+    # K past n keeps every vertex and only them
+    d = select_smallest(psi_scores(PATH5), 99)
+    assert len(d) == 5 and d.k == 99
+    assert all(v in d for v in range(1, 6))
+    assert 0 not in d and 6 not in d
 
 
 STRADDLE_K = 200
@@ -474,7 +482,7 @@ def test_select_straddling_run_membership_matches_order(psi_straddle):
     assert cs.vertices == select_smallest(sv, n).vertices[:STRADDLE_K]
 
 
-def test_membership_outside_straddling_run_computes_no_codes(psi_straddle, monkeypatch):
+def test_selection_codes_each_member_of_a_tied_run_below_rank_k_once(psi_straddle, monkeypatch):
     shape, sv, run, lower = psi_straddle
     real = estimators.canonical_code
     calls = []
@@ -485,14 +493,23 @@ def test_membership_outside_straddling_run_computes_no_codes(psi_straddle, monke
 
     monkeypatch.setattr(estimators, "canonical_code", counting)
     cs = select_smallest(sv, STRADDLE_K)
+    order, bounds = tie_runs(sv)
+    cuts = bounds.tolist()
+    tied = [
+        v
+        for i, j in zip(cuts, cuts[1:])
+        if i < STRADDLE_K and j - i > 1
+        for v in order[i:j].tolist()
+    ]
+    assert set(run) <= set(tied)
+    assert sorted(calls) == sorted(tied)
+    # membership is a lookup: asking it computes no further code
     in_run = set(run)
     assert len(cs) == STRADDLE_K
     hits = sum(v in cs for v in range(1, shape.n + 1) if v not in in_run)
     assert hits == lower
-    assert calls == []
-    # a vertex of the run forces its code-sort, and only that
     member = run[0] in cs
-    assert sorted(calls) == sorted(run)
+    assert sorted(calls) == sorted(tied)
     assert member == (run[0] in cs.vertices)
 
 

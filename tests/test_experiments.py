@@ -34,7 +34,7 @@ from rootfinder import (
     sweep,
     wilson_interval,
 )
-from rootfinder import experiments
+from rootfinder import estimators, experiments
 from rootfinder.estimators import rank_interval
 from rootfinder.experiments import CSV_COLUMNS
 from rootfinder.rng import DEFAULT_SEED
@@ -384,17 +384,22 @@ def selection_outcomes(config):
     return np.array(flags)
 
 
+def root_runs(config):
+    """Per trial of ``config``, the root's tied run ``(start, end)``, found
+    the relabel-first way."""
+    runs = []
+    for t in range(config.trials):
+        gen = RngStream(config.seed, t).generator()
+        shape, root = forget_labels(config.model.sample(config.n, gen), gen)
+        runs.append(rank_interval(score_tree(shape, config.estimator), root))
+    return runs
+
+
 def straddling(family):
-    """Per trial of a K-family, whether the root's tied run, found the
-    relabel-first way, straddles one of the family's K."""
+    """Per trial of a K-family, whether the root's tied run straddles one
+    of the family's K."""
     c = family[0]
-    flags = []
-    for t in range(c.trials):
-        gen = RngStream(c.seed, t).generator()
-        shape, root = forget_labels(c.model.sample(c.n, gen), gen)
-        start, end = rank_interval(score_tree(shape, c.estimator), root)
-        flags.append(any(start < min(f.k, c.n) < end for f in family))
-    return flags
+    return [any(start < min(f.k, c.n) < end for f in family) for start, end in root_runs(c)]
 
 
 def test_process_pool_is_imported_only_when_a_pool_starts():
@@ -468,6 +473,23 @@ def test_sweep_relabels_only_trials_whose_root_run_straddles(monkeypatch, estima
     sweep(family)
     assert len(calls) == 40
     assert len(relabels) == sum(want)
+
+
+def test_sweep_code_sorts_a_straddling_run_once(monkeypatch):
+    # every K from 1 to n + 1, so every tied root run straddles several
+    family = [small_config(n=30, k=k, trials=40, seed=5) for k in range(1, 32)]
+    runs = [end - start for (start, end), s in zip(root_runs(family[0]), straddling(family)) if s]
+    real = estimators.canonical_code
+    codes = []
+
+    def counting(shape, root):
+        codes.append(root)
+        return real(shape, root)
+
+    monkeypatch.setattr(estimators, "canonical_code", counting)
+    rows = sweep(family)
+    assert len(codes) == sum(runs) == 72
+    assert sum(res.successes for _, res in rows) == 1089
 
 
 def test_sweep_families_need_not_be_adjacent(monkeypatch):
