@@ -10,13 +10,15 @@ Four per-vertex scores, all oriented so that lower means more root-like:
 * xi   — the preferential-attachment analogue: zeta with the candidate's
          degree divided out.
 
-All four run in O(n).  psi and phi are each written once, as a function
-of a walk from vertex 1 (a :class:`LevelWalk`): a shape's
-:attr:`ShapeTree.walk_from_1` for :func:`psi_scores` and
-:func:`phi_scores`, a growth tree's own :attr:`GrowthTree.walk` for
+All four run in O(n), from one walk from vertex 1 (a :class:`LevelWalk`)
+scored by one private function: a shape's :attr:`ShapeTree.walk_from_1`
+for :func:`score_tree`, a growth tree's own :attr:`GrowthTree.walk` for
 :func:`score_growth`, which scores a sampled tree on its growth labels.
-zeta is phi plus log n plus log |Aut(T)|, one automorphism pass at a
-centroid, and xi subtracts log-degree.  Multiplicative scores live in
+zeta is phi plus the per-tree constant log n + log |Aut(T)| (one
+automorphism pass at a centroid), and xi subtracts log-degree.  The
+constant moves no rank and cancels in a posterior, so it is added only
+where a score is printed, by :func:`score_tree`; growth scores and
+:func:`root_posterior` omit it.  Multiplicative scores live in
 natural-log domain throughout.
 """
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from .generators import ModelSpec
 from .isomorphism import aut_log, canonical_code
-from .trees import GrowthTree, LevelWalk, ShapeTree, shape_of_growth
+from .trees import GrowthTree, LevelWalk, ShapeTree
 
 __all__ = [
     "ScoreVector",
@@ -132,14 +134,21 @@ def _phi_values(walk: LevelWalk, n: int) -> np.ndarray:
     return walk.descend(float(np.sum(logs[2:])), step)
 
 
-def psi_scores(shape: ShapeTree) -> ScoreVector:
-    """psi(u) = largest component size after deleting u; O(n)."""
-    return ScoreVector("psi", shape, _psi_values(shape.walk_from_1, shape.n))
-
-
-def phi_scores(shape: ShapeTree) -> ScoreVector:
-    """log phi(u) for all u in O(n), rerooting level by level."""
-    return ScoreVector("phi", shape, _phi_values(shape.walk_from_1, shape.n))
+def _scores(walk: LevelWalk, n: int, degrees, estimator: str, constant: float = 0.0) -> np.ndarray:
+    """One estimator's scores from a walk from vertex 1: psi, or phi plus
+    ``constant``, minus log-degree for xi.  ``degrees`` returns the degree
+    array and is called for xi alone.  Every tree kind and the posterior
+    score through here; only :func:`score_tree` passes zeta's constant."""
+    if estimator == "psi":
+        return _psi_values(walk, n)
+    if estimator not in ESTIMATOR_TAGS:
+        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATOR_TAGS}")
+    values = _phi_values(walk, n)
+    if constant:
+        values += constant
+    if estimator == "xi":
+        values[1:] -= np.log(degrees()[1:])
+    return values
 
 
 def _log_aut(shape: ShapeTree, walk: LevelWalk) -> float:
@@ -160,20 +169,27 @@ def _log_aut(shape: ShapeTree, walk: LevelWalk) -> float:
     return total
 
 
-def _exact_score(shape: ShapeTree, degree_correction: bool) -> np.ndarray:
-    """Shared zeta/xi evaluation in O(n): zeta = phi + log n + log |Aut(T)|.
+def score_tree(shape: ShapeTree, estimator: str) -> ScoreVector:
+    """One estimator's scores on a shape, from :attr:`ShapeTree.walk_from_1`.
 
-    Rooted at u, the defining sum is phi(u) + log n (the root's own subtree
-    size) plus log |Aut(T, u)|, and the orbit-stabilizer identity
-    |Aut(T)| = orbit(u) |Aut(T, u)| folds in the orbit count, so zeta is
-    phi plus one constant per tree; xi divides out the degree.
+    zeta and xi add the per-tree constant log n + log |Aut(T)|: rooted at
+    u, zeta's defining sum is phi(u) + log n (the root's own subtree size)
+    plus log |Aut(T, u)|, and the orbit-stabilizer identity
+    |Aut(T)| = orbit(u) |Aut(T, u)| folds in the orbit count.
     """
-    n = shape.n
     walk = shape.walk_from_1
-    values = _phi_values(walk, n) + (math.log(n) + _log_aut(shape, walk))
-    if degree_correction:
-        values[1:] -= np.log(shape.degrees()[1:])
-    return values
+    constant = math.log(shape.n) + _log_aut(shape, walk) if estimator in ("zeta", "xi") else 0.0
+    return ScoreVector(estimator, shape, _scores(walk, shape.n, shape.degrees, estimator, constant))
+
+
+def psi_scores(shape: ShapeTree) -> ScoreVector:
+    """psi(u) = largest component size after deleting u; O(n)."""
+    return score_tree(shape, "psi")
+
+
+def phi_scores(shape: ShapeTree) -> ScoreVector:
+    """log phi(u) for all u in O(n), rerooting level by level."""
+    return score_tree(shape, "phi")
 
 
 def zeta_scores(shape: ShapeTree) -> ScoreVector:
@@ -183,29 +199,12 @@ def zeta_scores(shape: ShapeTree) -> ScoreVector:
     The defining product runs over non-leaves; leaves contribute log 1
     twice.  It equals n |Aut(T)| phi(u), which is how it is computed.
     """
-    return ScoreVector(estimator="zeta", shape=shape, values=_exact_score(shape, False))
+    return score_tree(shape, "zeta")
 
 
 def xi_scores(shape: ShapeTree) -> ScoreVector:
     """log xi(u) = log zeta(u) - log degree(u)."""
-    return ScoreVector(estimator="xi", shape=shape, values=_exact_score(shape, True))
-
-
-_SCORE_FNS = {
-    "psi": psi_scores,
-    "phi": phi_scores,
-    "zeta": zeta_scores,
-    "xi": xi_scores,
-}
-
-
-def score_tree(shape: ShapeTree, estimator: str) -> ScoreVector:
-    """Dispatch by estimator tag."""
-    try:
-        fn = _SCORE_FNS[estimator]
-    except KeyError:
-        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATOR_TAGS}")
-    return fn(shape)
+    return score_tree(shape, "xi")
 
 
 def score_growth(tree: GrowthTree, estimator: str) -> np.ndarray:
@@ -213,14 +212,13 @@ def score_growth(tree: GrowthTree, estimator: str) -> np.ndarray:
     the first vertex, as an array of length n+1 with slot 0 at +inf.
 
     The scores depend on the shape alone, so relabelling the tree moves
-    them with their vertices.  psi and phi need no shape; zeta and xi score
-    :func:`shape_of_growth`.
+    them with their vertices.  They are read off the tree's own walk and
+    no shape is built.  zeta and xi omit the per-tree constant
+    log n + log |Aut(T)| that :func:`score_tree` adds, so zeta scores here
+    equal phi's.  The constant moves no rank, though under the relative
+    ``TIE_RTOL`` it could in principle change which near-equal scores tie.
     """
-    if estimator == "psi":
-        return _psi_values(tree.walk, tree.n)
-    if estimator == "phi":
-        return _phi_values(tree.walk, tree.n)
-    return score_tree(shape_of_growth(tree), estimator).values
+    return _scores(tree.walk, tree.n, tree.degrees, estimator)
 
 
 def tie_order(shape: ShapeTree, members) -> list[int]:
@@ -351,12 +349,15 @@ def root_posterior(shape: ShapeTree, model: ModelSpec) -> np.ndarray:
     """Posterior root probabilities: p(u) proportional to 1/zeta(u) under
     uniform attachment, 1/xi(u) under preferential attachment.
 
-    Normalized by log-sum-exp; returns an array of length n+1 whose slot 0
-    is 0.  Only the two attachment rules with an exact likelihood are
-    supported; other alpha values raise UnsupportedModelError.
+    zeta is phi and xi is phi minus log-degree, each plus the per-tree
+    constant log n + log |Aut(T)|, which cancels in the normalization; so
+    the constant is never computed.  Normalized by log-sum-exp; returns an
+    array of length n+1 whose slot 0 is 0.  Only the two attachment rules
+    with an exact likelihood are supported; other alpha values raise
+    UnsupportedModelError.
     """
-    score = zeta_scores if model.posterior_kind() == "uniform" else xi_scores
-    w = -score(shape).values[1:]
+    estimator = "zeta" if model.posterior_kind() == "uniform" else "xi"
+    w = -_scores(shape.walk_from_1, shape.n, shape.degrees, estimator)[1:]
     w = w - np.max(w)
     p = np.exp(w)
     p /= p.sum()

@@ -172,9 +172,6 @@ class ShapeTree:
     def adjncy(self) -> np.ndarray:
         return self._csr[1]
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.adjncy[self.xadj[v] : self.xadj[v + 1]]
-
     @cached_property
     def _degrees(self) -> np.ndarray:
         deg = np.bincount(self.src, minlength=self.n + 1)
@@ -185,9 +182,6 @@ class ShapeTree:
         """Degree array indexed by vertex (index 0 unused, set to 0),
         computed once per shape and read-only."""
         return self._degrees
-
-    def degree_of(self, v: int) -> int:
-        return int(self._degrees[v])
 
     @cached_property
     def walk_from_1(self) -> "LevelWalk":

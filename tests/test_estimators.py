@@ -721,6 +721,27 @@ def test_posterior_sums_to_one():
         assert abs(float(post.sum()) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n", [200, 10_000])
+@pytest.mark.parametrize("model, score", [(UA, zeta_scores), (PA, xi_scores)])
+def test_posterior_normalizes_inverse_zeta_or_xi_without_automorphisms(monkeypatch, model, score, n):
+    # the per-tree constant in zeta and xi cancels, so none is computed
+    shape, _ = random_shape(n, 12, model=model)
+    key = score(shape).values[1:]
+    w = np.exp(key.min() - key)
+    auts = []
+    real = estimators.aut_log
+
+    def counting(*args):
+        auts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(estimators, "aut_log", counting)
+    post = root_posterior(shape, model)
+    assert auts == []
+    assert post[0] == 0.0
+    np.testing.assert_allclose(post[1:], w / w.sum(), rtol=1e-9, atol=0)
+
+
 def test_posterior_alpha_endpoints_reuse_exact_rules():
     shape, _ = random_shape(30, 11)
     assert root_posterior(shape, ModelSpec("alpha", 0.0)) == pytest.approx(

@@ -34,7 +34,7 @@ from rootfinder import (
     sweep,
     wilson_interval,
 )
-from rootfinder import estimators, experiments
+from rootfinder import estimators, experiments, isomorphism, trees
 from rootfinder.estimators import rank_interval
 from rootfinder.experiments import CSV_COLUMNS
 from rootfinder.rng import DEFAULT_SEED
@@ -490,6 +490,40 @@ def test_sweep_code_sorts_a_straddling_run_once(monkeypatch):
     rows = sweep(family)
     assert len(codes) == sum(runs) == 72
     assert sum(res.successes for _, res in rows) == 1089
+
+
+def counting_everywhere(monkeypatch, home, name):
+    """Patch ``home.<name>`` in every loaded rootfinder module that holds
+    it, so a call through any import of it is recorded."""
+    calls = []
+    real = getattr(home, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "rootfinder" and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("model", [UA, PA, ALPHA])
+def test_sweep_scores_zeta_and_xi_without_shapes_or_automorphisms(monkeypatch, model):
+    # zeta and xi are phi plus a per-tree constant that moves no rank
+    ks = (1, 5, 20, 300)
+    family = {
+        est: [ExperimentConfig(model, est, 300, k, trials=30, seed=9) for k in ks]
+        for est in ("phi", "zeta", "xi")
+    }
+    phi = sweep(family["phi"])
+    auts = counting_everywhere(monkeypatch, isomorphism, "aut_log")
+    shapes = counting_everywhere(monkeypatch, trees, "shape_of_growth")
+    zeta, xi = sweep(family["zeta"]), sweep(family["xi"])
+    assert len(auts) == len(shapes) == 0
+    assert [res.trials for _, res in xi] == [30] * len(ks)
+    for (_, want), (_, got) in zip(phi, zeta):
+        assert np.array_equal(got.outcomes, want.outcomes)
 
 
 def test_sweep_families_need_not_be_adjacent(monkeypatch):

@@ -9,6 +9,7 @@ Hand-checked fixtures used throughout:
 """
 
 import importlib
+import math
 import os
 import pkgutil
 import threading
@@ -42,8 +43,8 @@ from rootfinder import (
     zeta_scores,
 )
 
-from rootfinder.estimators import score_growth, score_tree, select_smallest, tie_runs
-from rootfinder.isomorphism import orbit_counts
+from rootfinder.estimators import rank_interval, score_growth, score_tree, select_smallest, tie_runs
+from rootfinder.isomorphism import aut_log, canonical_code, orbit_counts
 from rootfinder.oracle import embedding_count
 from rootfinder.trees import LevelWalk, label_permutation
 
@@ -101,8 +102,8 @@ def test_build_shape_accepts_tree():
     assert shape.n == 5
     assert shape.edges() == sorted(MIXED5)
     assert shape.degrees().tolist() == [0, 1, 3, 1, 2, 1]
-    assert shape.degree_of(2) == 3
-    assert sorted(shape.neighbors(2).tolist()) == [1, 3, 4]
+    assert shape.degrees()[2] == 3
+    assert sorted(shape.adjncy[shape.xadj[2] : shape.xadj[3]].tolist()) == [1, 3, 4]
 
 
 def test_build_shape_vertex_order_does_not_matter():
@@ -402,6 +403,26 @@ def test_growth_walk_matches_level_walk_of_its_shape(name):
     assert np.array_equal(score_growth(tree, "psi"), psi_scores(shape).values)
     phi = score_growth(tree, "phi")
     np.testing.assert_allclose(phi, phi_scores(shape).values, rtol=1e-12, atol=0)
+    # growth scores omit zeta's per-tree constant log n + log |Aut(T)|; the
+    # 200 000-vertex path is left to path3000, as its codes are quadratic
+    estimators = ["psi", "phi"] if tree.n > 10_000 else ["psi", "phi", "zeta", "xi"]
+    for estimator in estimators:
+        grown, scored = score_growth(tree, estimator), score_tree(shape, estimator)
+        gap = scored.values[1:] - grown[1:]
+        want = 0.0 if estimator in ("psi", "phi") else math.log(tree.n) + log_aut_at_1(shape)
+        np.testing.assert_allclose(gap, want, rtol=1e-12, atol=1e-12 * np.abs(grown[1:]).max())
+        assert rank_interval(grown, 1) == rank_interval(scored, 1)
+
+
+def log_aut_at_1(shape):
+    """log |Aut(T)| by orbit-stabilizer at vertex 1: the rooted group there
+    times the number of vertices whose rooted view has vertex 1's code,
+    sought among those whose phi (an invariant of the rooted view) ties."""
+    phi = phi_scores(shape).values
+    code = canonical_code(shape, 1)
+    alike = np.flatnonzero(np.isclose(phi, phi[1], rtol=1e-12, atol=0)).tolist()
+    orbit = sum(canonical_code(shape, v) == code for v in alike)
+    return math.log(orbit) + float(np.sum(aut_log(shape, 1)[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +516,7 @@ def test_forget_labels_explicit_permutation():
     shape, root = forget_labels(t, permutation=[3, 1, 2])
     assert root == 3
     assert shape.edges() == [(1, 2), (1, 3)]
-    assert shape.degree_of(1) == 2  # old vertex 2 is the new middle
+    assert shape.degrees()[1] == 2  # old vertex 2 is the new middle
 
 
 def test_forget_labels_validates_permutation():
