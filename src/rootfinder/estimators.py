@@ -31,7 +31,7 @@ from hashlib import blake2b
 import numpy as np
 
 from .generators import ModelSpec
-from .isomorphism import aut_log, canonical_code
+from .isomorphism import _unrooted_aut_log, canonical_code
 from .trees import GrowthTree, LevelWalk, ShapeTree
 
 __all__ = [
@@ -152,21 +152,10 @@ def _scores(walk: LevelWalk, n: int, degrees, estimator: str, constant: float = 
 
 
 def _log_aut(shape: ShapeTree, walk: LevelWalk) -> float:
-    """log |Aut(T)|, the order of the unrooted tree's automorphism group.
-
-    Every automorphism fixes the set of centroids (the vertices of least
-    psi), one vertex or two adjacent ones.  So |Aut(T)| is the rooted group
-    at a centroid c, one :func:`aut_log` pass, doubled when the other
-    centroid's rooted view is isomorphic to c's, for then an automorphism
-    swaps the two.
-    """
+    """log |Aut(T)|, the order of the unrooted tree's automorphism group,
+    from its centroids, the vertices of least psi."""
     psi = _psi_values(walk, shape.n)
-    centroids = np.flatnonzero(psi == psi.min()).tolist()
-    c = centroids[0]
-    total = float(np.sum(aut_log(shape, c)[1:]))
-    if len(centroids) == 2 and canonical_code(shape, c) == canonical_code(shape, centroids[1]):
-        total += math.log(2)
-    return total
+    return _unrooted_aut_log(shape, np.flatnonzero(psi == psi.min()).tolist())
 
 
 def score_tree(shape: ShapeTree, estimator: str) -> ScoreVector:

@@ -7,6 +7,7 @@ quantities the library computes cleverly.
 """
 
 import math
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -148,3 +149,19 @@ def exact_score_by_roots(shape, degree_correction=False):
         if degree_correction:
             values[u] -= math.log(degree[u])
     return values
+
+
+def counting_everywhere(monkeypatch, home, name):
+    """Patch ``home.<name>`` in every loaded rootfinder module that holds
+    it, so a call through any import of it is recorded."""
+    calls = []
+    real = getattr(home, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "rootfinder" and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
+    return calls

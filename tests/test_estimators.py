@@ -21,7 +21,7 @@ from hashlib import blake2b
 
 import numpy as np
 import pytest
-from helpers import distinct_shapes, exact_score_by_roots
+from helpers import counting_everywhere, distinct_shapes, exact_score_by_roots
 
 from rootfinder import (
     GrowthTree,
@@ -41,7 +41,7 @@ from rootfinder import (
     xi_scores,
     zeta_scores,
 )
-from rootfinder import estimators
+from rootfinder import estimators, isomorphism
 from rootfinder.estimators import (
     ESTIMATOR_TAGS,
     TIE_RTOL,
@@ -270,6 +270,17 @@ def test_exact_scores_past_the_orbit_limit_on_a_star():
     np.testing.assert_allclose(zeta_scores(big).values, zeta, rtol=1e-12, atol=0)
     xi = zeta - np.log(np.concatenate(([1], big.degrees()[1:])))
     np.testing.assert_allclose(xi_scores(big).values, xi, rtol=1e-12, atol=0)
+
+
+def test_zeta_on_a_long_path_computes_no_canonical_code(monkeypatch):
+    # the two centroids' halves are compared by the automorphism pass's
+    # type ids: a path's codes would cost O(n^2) bytes
+    path = build_shape([(k, k + 1) for k in range(1, 200_000)])
+    codes = counting_everywhere(monkeypatch, isomorphism, "canonical_code")
+    zeta, phi = score_tree(path, "zeta").values[1:], phi_scores(path).values[1:]
+    assert codes == []
+    want = math.log(path.n) + math.log(2)  # |Aut| of a path is 2
+    np.testing.assert_allclose(zeta - phi, want, rtol=1e-12, atol=1e-12 * np.abs(phi).max())
 
 
 # ---------------------------------------------------------------------------
@@ -728,14 +739,7 @@ def test_posterior_normalizes_inverse_zeta_or_xi_without_automorphisms(monkeypat
     shape, _ = random_shape(n, 12, model=model)
     key = score(shape).values[1:]
     w = np.exp(key.min() - key)
-    auts = []
-    real = estimators.aut_log
-
-    def counting(*args):
-        auts.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(estimators, "aut_log", counting)
+    auts = counting_everywhere(monkeypatch, isomorphism, "_aut_pass")
     post = root_posterior(shape, model)
     assert auts == []
     assert post[0] == 0.0

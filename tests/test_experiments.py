@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.stats
+from helpers import counting_everywhere
 
 from rootfinder import (
     BadSizeError,
@@ -492,22 +493,6 @@ def test_sweep_code_sorts_a_straddling_run_once(monkeypatch):
     assert sum(res.successes for _, res in rows) == 1089
 
 
-def counting_everywhere(monkeypatch, home, name):
-    """Patch ``home.<name>`` in every loaded rootfinder module that holds
-    it, so a call through any import of it is recorded."""
-    calls = []
-    real = getattr(home, name)
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for key, module in list(sys.modules.items()):
-        if key.split(".")[0] == "rootfinder" and getattr(module, name, None) is real:
-            monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 @pytest.mark.parametrize("model", [UA, PA, ALPHA])
 def test_sweep_scores_zeta_and_xi_without_shapes_or_automorphisms(monkeypatch, model):
     # zeta and xi are phi plus a per-tree constant that moves no rank
@@ -517,7 +502,7 @@ def test_sweep_scores_zeta_and_xi_without_shapes_or_automorphisms(monkeypatch, m
         for est in ("phi", "zeta", "xi")
     }
     phi = sweep(family["phi"])
-    auts = counting_everywhere(monkeypatch, isomorphism, "aut_log")
+    auts = counting_everywhere(monkeypatch, isomorphism, "_aut_pass")
     shapes = counting_everywhere(monkeypatch, trees, "shape_of_growth")
     zeta, xi = sweep(family["zeta"]), sweep(family["xi"])
     assert len(auts) == len(shapes) == 0

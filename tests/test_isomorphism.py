@@ -36,6 +36,7 @@ from rootfinder import (
     shape_of_growth,
     subtree_sizes,
 )
+from rootfinder.oracle import _exact_aut
 
 PATH3 = build_shape([(1, 2), (2, 3)])
 PATH5 = build_shape([(1, 2), (2, 3), (3, 4), (4, 5)])
@@ -77,6 +78,11 @@ def _code_shapes():
     legs = [s for s in range(1, 13) for _ in range(1 + s % 4)]
     caterpillar = GrowthTree.from_attachments(spine + legs)
     yield forget_labels(caterpillar, rng=RngStream(9, 8).generator())[0]
+    # a star of stars: a hub joined to 20 centres carrying 1 to 5 leaves
+    # each, so every vertex but the hub has only leaves below it
+    legs = [c for c in range(2, 22) for _ in range(1 + c % 5)]
+    stars = GrowthTree.from_attachments([1] * 20 + legs)
+    yield forget_labels(stars, rng=RngStream(9, 9).generator())[0]
 
 
 def test_code_at_every_root_matches_a_code_on_the_list_walk():
@@ -180,6 +186,15 @@ def test_rooted_aut_product_matches_brute_force(n):
         for u in range(1, n + 1):
             total = float(np.sum(aut_log(shape, u)[1:]))
             assert round(math.exp(total)) == brute_automorphism_count(shape, u)
+
+
+def test_aut_at_every_root_matches_exact_integers():
+    # the float pass, which counts leaves, against the oracles' exact
+    # products of multiplicity factorials, which visit every vertex
+    for shape in _code_shapes():
+        for u in range(1, shape.n + 1):
+            exact = [math.log(a) for a in _exact_aut(subtree_sizes(shape, u))]
+            np.testing.assert_allclose(aut_log(shape, u), exact, rtol=1e-12, atol=0)
 
 
 def test_path_inequality_along_root_swap():

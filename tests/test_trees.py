@@ -404,7 +404,8 @@ def test_growth_walk_matches_level_walk_of_its_shape(name):
     phi = score_growth(tree, "phi")
     np.testing.assert_allclose(phi, phi_scores(shape).values, rtol=1e-12, atol=0)
     # growth scores omit zeta's per-tree constant log n + log |Aut(T)|; the
-    # 200 000-vertex path is left to path3000, as its codes are quadratic
+    # 200 000-vertex path is left to path3000, as log_aut_at_1's codes are
+    # quadratic on it (its zeta is checked alone, in test_estimators.py)
     estimators = ["psi", "phi"] if tree.n > 10_000 else ["psi", "phi", "zeta", "xi"]
     for estimator in estimators:
         grown, scored = score_growth(tree, estimator), score_tree(shape, estimator)
